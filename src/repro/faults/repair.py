@@ -56,6 +56,7 @@ watchdog grace window from being re-initialized on top (and double-charged).
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,11 +66,19 @@ from repro.errors import ConfigurationError
 from repro.faults.network import FaultyTreeNetwork
 from repro.faults.watchdog import RootWatchdog
 from repro.network.topology import PhysicalGraph
-from repro.network.tree import tree_multi_reparented
+from repro.network.tree import RoutingTree, tree_multi_reparented
 from repro.radio.message import MessageCost, ack_cost, message_bits
+from repro.sim.vectorized import ChargeLog
 
 #: Phase label repair traffic is charged under in ``net.phase_bits``.
 REPAIR_PHASE = "repair"
+
+#: Probe, reply, adopt and park-listen frames: ack-sized control frames.
+_ACK = ack_cost()
+#: A membership report: payload bits piggybacked on a scheduled frame.
+_REPORT = MessageCost(messages=0, total_bits=VALUE_BITS, payload_bits=VALUE_BITS)
+#: A rejoining node's filter re-push: one value payload, one hop down.
+_PUSH = message_bits(VALUE_BITS)
 
 
 @dataclass(frozen=True)
@@ -183,23 +192,30 @@ class TreeRepair:
         self._expired: list[int] = []
         self._waiting: list[int] = []
         self._healed: list[int] = []
+        #: Every repair charge of a pass, flushed before the pass returns.
+        self._charges = ChargeLog(net.ledger)
+        self._neighbor_arrays: dict[int, np.ndarray] = {}
 
     # -- root-reachability ----------------------------------------------------
 
-    def _reachable(self) -> list[bool]:
+    def _down_mask(self) -> np.ndarray:
+        """Per-vertex ``plan.is_down``, asked once per vertex."""
+        n = self.net.tree.num_vertices
+        return np.fromiter(
+            map(self.plan.is_down, range(n)), dtype=bool, count=n
+        )
+
+    def _reachable(self, down: np.ndarray | None = None) -> list[bool]:
         """Per-vertex: is the whole tree path to the root up right now?"""
-        tree = self.net.tree
-        ok = [False] * tree.num_vertices
-        ok[tree.root] = True
-        for vertex in tree.top_down_order:
-            if vertex == tree.root:
-                continue
-            ok[vertex] = ok[tree.parent[vertex]] and not self.plan.is_down(vertex)
-        return ok
+        if down is None:
+            down = self._down_mask()
+        return _ok_to_root(self.net.tree, down)
 
     def reachable_sensors(self) -> tuple[int, ...]:
         """Up sensors whose whole path to the root is up."""
-        ok = self._reachable()
+        return self._sensors_where(self._reachable())
+
+    def _sensors_where(self, ok: list[bool]) -> tuple[int, ...]:
         return tuple(v for v in self.net.tree.sensor_nodes if ok[v])
 
     # -- the per-round pass ---------------------------------------------------
@@ -216,9 +232,11 @@ class TreeRepair:
         re-initializing can resynchronize via :meth:`resync_after_reinit`.
         """
         energy_before = float(self.net.ledger.energy.sum())
-        reattached = self._reattach_orphans()
+        down = self._down_mask()
+        reattached = self._reattach_orphans(down)
         fallback = self._expired_fallbacks()
-        detached, rejoined = self._sync_membership(algorithm, values)
+        ok = self._reachable(down)
+        detached, rejoined = self._sync_membership(algorithm, values, ok)
         round_record = RepairRound(
             reattached=tuple(reattached),
             fallback=tuple(fallback),
@@ -228,7 +246,7 @@ class TreeRepair:
             healed=tuple(self._healed),
         )
         if round_record.changed_membership and self.watchdog is not None:
-            self.watchdog.retarget(self.net.tree, self.reachable_sensors())
+            self.watchdog.retarget(self.net.tree, self._sensors_where(ok))
         self.stats.reattach_count += len(reattached)
         self.stats.fallback_count += len(fallback)
         self.stats.detach_count += len(detached)
@@ -247,116 +265,85 @@ class TreeRepair:
         Called by the driver right before re-initializing: the new query is
         planted on the reachable population only.
         """
-        reachable = set(self.reachable_sensors())
-        self.detached = set(self.net.tree.sensor_nodes) - reachable
+        reachable = self.reachable_sensors()
+        self.detached = set(self.net.tree.sensor_nodes).difference(reachable)
         algorithm.reset_participation(self.net, self.detached)
         if self.watchdog is not None:
-            self.watchdog.retarget(self.net.tree, tuple(sorted(reachable)))
+            self.watchdog.retarget(self.net.tree, reachable)
 
     # -- orphan re-attach -----------------------------------------------------
     #
-    # The whole pass works on *working copies* of the parent/link arrays:
-    # adoptions mutate the copies, eligibility checks walk them, and the
-    # real RoutingTree is rebuilt exactly once per round via
-    # tree_multi_reparented (a cascade of k adoptions used to pay k full
-    # O(n) derived-structure rebuilds — quadratic in the cascade size).
+    # The pass works on a _WorkingTree: array copies of the parent and
+    # depth arrays, one down mask, the ok-to-root mask and (for the ETX
+    # metric) per-edge ETX/observed arrays, all built once per pass.
+    # Adoptions patch them over the adopted subtree only, and the real
+    # RoutingTree is rebuilt exactly once per round via
+    # tree_multi_reparented.  The orphan set is computed once and only
+    # shrinks; a heap keyed on (working depth, vertex id) picks the next
+    # orphan, re-keyed whenever an adoption moves a pending orphan's depth.
+    # Every charge goes to one ChargeLog, flushed before the pass returns.
 
-    def _orphans_in(self, parent: list[int]) -> list[int]:
-        """Up sensors whose (working) parent is down, shallowest first."""
-        orphans = [
-            v
-            for v in self.net.tree.sensor_nodes
-            if not self.plan.is_down(v) and self.plan.is_down(parent[v])
-        ]
-        orphans.sort(key=lambda v: (self._depth_in(parent, v), v))
-        return orphans
-
-    def _depth_in(self, parent: list[int], vertex: int) -> int:
-        root, depth = self.net.tree.root, 0
-        while vertex != root:
-            vertex = parent[vertex]
-            depth += 1
-        return depth
-
-    def _in_subtree(self, parent: list[int], vertex: int, ancestor: int) -> bool:
-        """Whether ``vertex`` lies in ``ancestor``'s (working) subtree."""
-        root = self.net.tree.root
-        while True:
-            if vertex == ancestor:
-                return True
-            if vertex == root:
-                return False
-            vertex = parent[vertex]
-
-    def _path_up_ok(self, parent: list[int], vertex: int) -> bool:
-        """Whether the whole (working) path from ``vertex`` to the root is up."""
-        root = self.net.tree.root
-        while vertex != root:
-            if self.plan.is_down(vertex):
-                return False
-            vertex = parent[vertex]
-        return True
-
-    def _subtree_in(self, parent: list[int], vertex: int) -> frozenset[int]:
-        """All vertices of ``vertex``'s subtree under the working array."""
-        root = self.net.tree.root
-        children: dict[int, list[int]] = {}
-        for v in range(len(parent)):
-            if v != root:
-                children.setdefault(parent[v], []).append(v)
-        out: set[int] = set()
-        stack = [vertex]
-        while stack:
-            v = stack.pop()
-            out.add(v)
-            stack.extend(children.get(v, ()))
-        return frozenset(out)
-
-    def _reattach_orphans(self) -> list[tuple[int, int]]:
+    def _reattach_orphans(
+        self, down: np.ndarray | None = None
+    ) -> list[tuple[int, int]]:
         tree = self.net.tree
-        parent = list(tree.parent)
-        link = list(tree.link_distance)
+        if down is None:
+            down = self._down_mask()
         moves: list[tuple[int, int, float]] = []
         failed: set[int] = set()
-        while True:
-            pending = [v for v in self._orphans_in(parent) if v not in failed]
-            if not pending:
-                break
-            orphan = pending[0]
-            candidate = self._probe_for_parent(orphan, parent)
-            if candidate is None:
-                failed.add(orphan)
-                continue
-            distance = self._distance(orphan, candidate)
-            self._charge_adopt_handshake(orphan, candidate, distance)
-            if failed:
-                # A successful adopt restores root connectivity for exactly
-                # the orphan's subtree; a previously failed orphan can only
-                # have gained an eligible candidate if it physically
-                # neighbours that subtree.  Everyone else's probe would
-                # replay the identical (charged!) beacon exchange and fail
-                # identically — don't re-probe them.
-                reconnected = self._subtree_in(parent, orphan)
-                failed = {
-                    v
-                    for v in failed
-                    if not any(
-                        n in reconnected for n in self.graph.neighbors(v)
-                    )
-                }
-            parent[orphan] = candidate
-            link[orphan] = distance
-            moves.append((orphan, candidate, distance))
+        work: _WorkingTree | None = None
+        if down.any():
+            stats = self.net.link_stats if self.parent_metric == "etx" else None
+            work = _WorkingTree(tree, down, stats)
+            pending = set(work.orphans().tolist())
+            heap = [(int(work.depth[v]), v) for v in pending]
+            heapq.heapify(heap)
+            while heap:
+                depth, orphan = heapq.heappop(heap)
+                if orphan not in pending or work.depth[orphan] != depth:
+                    continue  # superseded by a re-keyed entry
+                pending.discard(orphan)
+                found = self._probe_for_parent(orphan, work)
+                if found is None:
+                    failed.add(orphan)
+                    continue
+                candidate, distance = found
+                self._charge_adopt_handshake(orphan, candidate, distance)
+                subtree = work.adopt(orphan, candidate)
+                moves.append((orphan, candidate, distance))
+                requeue = pending.intersection(subtree.tolist())
+                if failed:
+                    # A successful adopt restores root connectivity for
+                    # exactly the orphan's subtree; a previously failed
+                    # orphan can only have gained an eligible candidate if
+                    # it physically neighbours that subtree.  Everyone
+                    # else's probe would replay the identical (charged!)
+                    # beacon exchange and fail identically — don't re-probe
+                    # them.
+                    mark = work.mark
+                    mark[subtree] = True
+                    back = [
+                        v for v in failed if mark[self._neighbors(v)].any()
+                    ]
+                    mark[subtree] = False
+                    failed.difference_update(back)
+                    pending.update(back)
+                    requeue.update(back)
+                for vertex in requeue:
+                    heapq.heappush(heap, (int(work.depth[vertex]), vertex))
         if moves:
             self.net.retarget(tree_multi_reparented(tree, moves))
             # The adopting parents report the membership change up the
             # repaired tree so the root can patch its branch bookkeeping.
             for _, new_parent, _ in moves:
                 self._report_to_root(new_parent)
-        self._settle_park_queue(parent, failed)
+        self._settle_park_queue(work, failed)
+        self._charges.flush()
         return [(orphan, new_parent) for orphan, new_parent, _ in moves]
 
-    def _settle_park_queue(self, parent: list[int], failed: set[int]) -> None:
+    def _settle_park_queue(
+        self, work: _WorkingTree | None, failed: set[int]
+    ) -> None:
         """Advance the parked-orphan queue after one re-attach pass.
 
         A previously waiting orphan (streak below ``heal_patience``) that is
@@ -384,166 +371,297 @@ class TreeRepair:
                 self._expired.append(vertex)
             elif streak < self.heal_patience:
                 self._waiting.append(vertex)
-        ack = ack_cost()
-        for vertex in self._waiting:
-            for member in self._subtree_in(parent, vertex):
-                if not self.plan.is_down(member):
-                    self._charge_recv(member, ack)
+        if self._waiting:
+            # Failed orphans exist only when the pass built a working tree.
+            assert work is not None
+            members = np.concatenate([work.subtree(v) for v in self._waiting])
+            self._charges.charge_recv_many(members[~work.down[members]], _ACK)
 
     def _expired_fallbacks(self) -> list[int]:
         fresh = self._expired
         self._expired = []
         return fresh
 
-    def _probe_for_parent(self, orphan: int, parent: list[int]) -> int | None:
+    def _probe_for_parent(
+        self, orphan: int, work: _WorkingTree
+    ) -> tuple[int, float] | None:
         """One probe beacon + replies; returns the best eligible neighbour.
 
         Eligible: physically in range, up, outside the orphan's own
         (working) subtree, and with a fully-up tree path to the root.
         Ranking follows :attr:`parent_metric` — ETX-weighted path cost to
         the root when link estimates exist, Euclidean distance otherwise.
+        Returns the winner and its distance, or ``None``.
         """
-        root = self.net.tree.root
-        ack = ack_cost()
         # The probe is a local broadcast at full radio range; every up
         # neighbour pays the listen, but only neighbours that actually hold
         # a working route (and are not in the orphan's own subtree) answer
         # with an ack-sized beacon — nodes without a route to offer keep
-        # quiet, exactly like route advertisements in CTP/RPL.
+        # quiet, exactly like route advertisements in CTP/RPL.  Per vertex
+        # the charges land in the order of a neighbour-by-neighbour walk:
+        # each replier hears the probe before it answers, and the orphan
+        # sends its beacon before it hears any reply.
         self.stats.probe_count += 1
-        self._charge_send(orphan, ack, self.graph.radio_range)
-        stats = self.net.link_stats if self.parent_metric == "etx" else None
-        candidates: list[tuple[float, float, int, bool]] = []
-        for neighbor in self.graph.neighbors(orphan):
-            if neighbor != root and self.plan.is_down(neighbor):
-                continue
-            self._charge_recv(neighbor, ack)
-            if self._in_subtree(parent, neighbor, orphan) or not (
-                self._path_up_ok(parent, neighbor)
-            ):
-                continue
-            distance = self._distance(orphan, neighbor)
-            self._charge_send(neighbor, ack, distance)
-            self._charge_recv(orphan, ack)
-            if stats is None:
-                etx_cost, observed = 0.0, False
-            else:
-                etx_cost, observed = self._etx_path_cost(
-                    stats, parent, orphan, neighbor
-                )
-            candidates.append((etx_cost, distance, neighbor, observed))
-        if not candidates:
+        self._charge_send(orphan, _ACK, self.graph.radio_range)
+        neighbors = self._neighbors(orphan)
+        heard = neighbors[~work.silent[neighbors]]
+        self._charges.charge_recv_many(heard, _ACK)
+        # A subtree member reaches the root only through the orphan's own
+        # down parent, so the ok mask already excludes it — unless that
+        # parent is the (down) root itself, whose state the path check
+        # never consults.
+        eligible = heard[work.ok[heard]]
+        if work.parent[orphan] == work.root:
+            eligible = eligible[~np.isin(eligible, work.subtree(orphan))]
+        count = eligible.shape[0]
+        if not count:
             return None
-        if stats is not None and any(observed for *_, observed in candidates):
-            best = min(candidates)
+        positions = self.graph.positions
+        distance = np.hypot(
+            positions[orphan, 0] - positions[eligible, 0],
+            positions[orphan, 1] - positions[eligible, 1],
+        )
+        self._charge_send_many(eligible, _ACK, distance)
+        self._charges.charge_recv_many(np.full(count, orphan), _ACK)
+        stats = work.stats
+        orphans = [orphan] * count
+        if stats is not None and (
+            work.path_observed[eligible].any()
+            or stats.observed_many(orphans, eligible.tolist()).any()
+        ):
+            probe_etx = stats.etx_many(orphans, eligible.tolist())
+            cost = work.path_costs(probe_etx, eligible)
+            best = np.lexsort((eligible, distance, cost))[0]
         else:
             # No relevant link ever observed: ETX would just replay the
             # prior everywhere, so fall back to nearest-neighbour adoption.
-            best = min(candidates, key=lambda c: (c[1], c[2]))
-        return best[2]
-
-    def _etx_path_cost(
-        self,
-        stats,
-        parent: list[int],
-        orphan: int,
-        candidate: int,
-    ) -> tuple[float, bool]:
-        """ETX of the probe link plus the candidate's (working) path to root.
-
-        Also reports whether *any* link on that route has ever been
-        observed — if none has, the cost is pure prior and the caller
-        prefers the distance ranking instead.
-        """
-        root = self.net.tree.root
-        cost = stats.etx(orphan, candidate)
-        observed = stats.link_observed(orphan, candidate)
-        vertex = candidate
-        while vertex != root:
-            up = parent[vertex]
-            cost += stats.etx(vertex, up)
-            observed = observed or stats.link_observed(vertex, up)
-            vertex = up
-        return cost, observed
+            best = np.lexsort((eligible, distance))[0]
+        return int(eligible[best]), float(distance[best])
 
     def _charge_adopt_handshake(
         self, orphan: int, new_parent: int, distance: float
     ) -> None:
         """Adopt request / accept, both ack-sized control frames."""
-        ack = ack_cost()
-        self._charge_send(orphan, ack, distance)
-        self._charge_recv(new_parent, ack)
-        self._charge_send(new_parent, ack, distance)
-        self._charge_recv(orphan, ack)
+        self._charge_send(orphan, _ACK, distance)
+        self._charges.charge_recv(new_parent, _ACK)
+        self._charge_send(new_parent, _ACK, distance)
+        self._charges.charge_recv(orphan, _ACK)
 
     # -- membership sync ------------------------------------------------------
 
     def _sync_membership(
-        self, algorithm, values: np.ndarray
+        self, algorithm, values: np.ndarray, ok: list[bool]
     ) -> tuple[list[int], list[int]]:
         tree = self.net.tree
-        ok = self._reachable()
-        reachable = {v for v in tree.sensor_nodes if ok[v]}
-        newly_gone = sorted(
-            v
-            for v in tree.sensor_nodes
-            if v not in self.detached and v not in reachable
-        )
-        newly_back = sorted(v for v in self.detached if v in reachable)
+        detached = self.detached
+        newly_gone = [
+            v for v in tree.sensor_nodes if not ok[v] and v not in detached
+        ]
+        newly_back = sorted(v for v in detached if ok[v])
+        try:
+            for vertex in newly_gone:
+                # A down node's silence is noticed by its parent; the report
+                # can only travel where an up path exists.
+                reporter = tree.parent[vertex]
+                if reporter == tree.root or (reporter >= 0 and ok[reporter]):
+                    self._report_to_root(reporter)
+                detached.add(vertex)
+                algorithm.detach(self.net, vertex)
 
-        for vertex in newly_gone:
-            # A down node's silence is noticed by its parent; the report can
-            # only travel where an up path exists.
-            reporter = tree.parent[vertex]
-            if reporter == tree.root or (
-                reporter >= 0 and ok[reporter]
-            ):
-                self._report_to_root(reporter)
-            self.detached.add(vertex)
-            algorithm.detach(self.net, vertex)
-
-        for vertex in newly_back:
-            # Filter re-push (one hop down), then the node reports its
-            # current value up so the root can patch its counters.
-            push = message_bits(VALUE_BITS)
-            parent = tree.parent[vertex]
-            self._charge_send(parent, push, tree.link_distance[vertex])
-            self._charge_recv(vertex, push)
-            self._report_to_root(vertex)
-            self.detached.discard(vertex)
-            algorithm.rejoin(self.net, values, vertex)
+            for vertex in newly_back:
+                # Filter re-push (one hop down), then the node reports its
+                # current value up so the root can patch its counters.
+                parent = tree.parent[vertex]
+                self._charge_send(parent, _PUSH, tree.link_distance[vertex])
+                self._charges.charge_recv(vertex, _PUSH)
+                self._report_to_root(vertex)
+                detached.discard(vertex)
+                algorithm.rejoin(self.net, values, vertex)
+        finally:
+            # The algorithm hooks are root-side bookkeeping and never
+            # charge the radio, so flushing last keeps every vertex's
+            # charge order; on a ProtocolError the charges made so far
+            # still land, as they would have one by one.
+            self._charges.flush()
         return newly_gone, newly_back
 
     # -- charging helpers -----------------------------------------------------
 
-    def _distance(self, a: int, b: int) -> float:
-        pa, pb = self.graph.positions[a], self.graph.positions[b]
-        return float(np.hypot(pa[0] - pb[0], pa[1] - pb[1]))
+    def _neighbors(self, vertex: int) -> np.ndarray:
+        """``graph.neighbors(vertex)`` as a cached index array."""
+        array = self._neighbor_arrays.get(vertex)
+        if array is None:
+            array = np.array(self.graph.neighbors(vertex), dtype=np.int64)
+            self._neighbor_arrays[vertex] = array
+        return array
 
     def _charge_send(self, sender: int, cost: MessageCost, distance: float) -> None:
-        self.net.ledger.charge_send(sender, cost, link_distance=distance)
-        self._account_bits(cost)
+        self._charges.charge_send(sender, cost, link_distance=distance)
+        self._account_bits(cost.total_bits)
 
-    def _charge_recv(self, receiver: int, cost: MessageCost) -> None:
-        self.net.ledger.charge_recv(receiver, cost)
+    def _charge_send_many(
+        self, senders: np.ndarray, cost: MessageCost, distances
+    ) -> None:
+        self._charges.charge_send_many(senders, cost, distances)
+        if len(senders):
+            self._account_bits(len(senders) * cost.total_bits)
 
     def _report_to_root(self, start: int) -> None:
         """Report a membership change from ``start`` up the tree path.
 
         Membership reports are tiny (a vertex id and a flag) and ride
         piggybacked on the next already-scheduled frame of each hop, so they
-        cost their payload bits but no extra MAC frames or headers.
+        cost their payload bits but no extra MAC frames or headers.  Every
+        relay hears the report before forwarding it, so recording all the
+        receptions before all the sends keeps each vertex's charge order.
         """
-        if start == self.net.tree.root:
-            return
         tree = self.net.tree
-        cost = MessageCost(messages=0, total_bits=VALUE_BITS, payload_bits=VALUE_BITS)
+        if start == tree.root:
+            return
         path = tree.path_to_root(start)
-        for child, parent in zip(path, path[1:]):
-            self._charge_send(child, cost, tree.link_distance[child])
-            self._charge_recv(parent, cost)
+        senders = path[:-1]
+        self._charges.charge_recv_many(path[1:], _REPORT)
+        self._charge_send_many(
+            senders, _REPORT, [tree.link_distance[v] for v in senders]
+        )
 
-    def _account_bits(self, cost: MessageCost) -> None:
-        self.stats.repair_bits += cost.total_bits
+    def _account_bits(self, bits: int) -> None:
+        self.stats.repair_bits += bits
         phase_bits = self.net.phase_bits
-        phase_bits[REPAIR_PHASE] = phase_bits.get(REPAIR_PHASE, 0) + cost.total_bits
+        phase_bits[REPAIR_PHASE] = phase_bits.get(REPAIR_PHASE, 0) + bits
+
+
+def _ok_to_root(tree: RoutingTree, down: np.ndarray) -> list[bool]:
+    """Per vertex: it and every vertex above it, the root excepted, are up."""
+    ok = (~down).tolist()
+    ok[tree.root] = True
+    parent = tree.parent
+    for vertex in tree.top_down_order[1:]:
+        if ok[vertex] and not ok[parent[vertex]]:
+            ok[vertex] = False
+    return ok
+
+
+class _WorkingTree:
+    """One repair pass's array view of the tree, patched as orphans adopt.
+
+    ``parent`` maps the root to itself; ``silent`` is the down mask with
+    the root treated as up (a probe always reaches the sink); ``ok`` is
+    the ok-to-root mask (:func:`_ok_to_root`).  With an estimator,
+    ``edge_etx``/``edge_observed`` hold each vertex's uplink ETX and
+    observed flag and ``path_observed`` whether any uplink on its path to
+    the root has been observed.
+    """
+
+    def __init__(self, tree: RoutingTree, down: np.ndarray, stats) -> None:
+        n = tree.num_vertices
+        root = tree.root
+        self.tree = tree
+        self.root = root
+        self.down = down
+        self.silent = down.copy()
+        self.silent[root] = False
+        parent = np.array(tree.parent, dtype=np.int64)
+        parent[root] = root
+        self.parent = parent
+        self.depth = np.array(tree.depth, dtype=np.int64)
+        self.mark = np.zeros(n, dtype=bool)
+        self.stats = stats
+        #: Children lists changed by this pass's adoptions; every other
+        #: vertex still has the tree's own children.
+        self._children: dict[int, list[int]] = {}
+        self.ok = np.array(_ok_to_root(tree, down), dtype=bool)
+        if stats is not None:
+            vertices = range(n)
+            ups = parent.tolist()
+            self.edge_etx = stats.etx_many(vertices, ups)
+            self.edge_observed = stats.observed_many(vertices, ups)
+            self.edge_observed[root] = False
+            seen = self.edge_observed.tolist()
+            for vertex in tree.top_down_order[1:]:
+                if not seen[vertex] and seen[tree.parent[vertex]]:
+                    seen[vertex] = True
+            self.path_observed = np.array(seen, dtype=bool)
+
+    def orphans(self) -> np.ndarray:
+        """Up sensors whose parent is down."""
+        orphan = ~self.down & self.down[self.parent]
+        orphan[self.root] = False
+        if self.tree.relays:
+            orphan[list(self.tree.relays)] = False
+        return np.flatnonzero(orphan)
+
+    def _kids(self, vertex: int):
+        return self._children.get(vertex, self.tree.children[vertex])
+
+    def _subtree_levels(self, vertex: int) -> list[list[int]]:
+        levels = [[vertex]]
+        while True:
+            below = [child for v in levels[-1] for child in self._kids(v)]
+            if not below:
+                return levels
+            levels.append(below)
+
+    def subtree(self, vertex: int) -> np.ndarray:
+        """All vertices of ``vertex``'s working subtree."""
+        return np.array(
+            [v for level in self._subtree_levels(vertex) for v in level],
+            dtype=np.int64,
+        )
+
+    def adopt(self, orphan: int, new_parent: int) -> np.ndarray:
+        """Re-parent ``orphan``; patch the arrays over its subtree.
+
+        Returns the subtree's vertices.
+        """
+        old_parent = int(self.parent[orphan])
+        self._children[old_parent] = [
+            v for v in self._kids(old_parent) if v != orphan
+        ]
+        self._children[new_parent] = [*self._kids(new_parent), orphan]
+        self.parent[orphan] = new_parent
+        shift = self.depth[new_parent] + 1 - self.depth[orphan]
+        if self.stats is not None:
+            self.edge_etx[orphan] = self.stats.etx(orphan, new_parent)
+            self.edge_observed[orphan] = self.stats.link_observed(
+                orphan, new_parent
+            )
+        levels = [
+            np.array(level, dtype=np.int64)
+            for level in self._subtree_levels(orphan)
+        ]
+        for level in levels:
+            ups = self.parent[level]
+            self.depth[level] += shift
+            self.ok[level] = self.ok[ups] & ~self.down[level]
+            if self.stats is not None:
+                self.path_observed[level] = (
+                    self.path_observed[ups] | self.edge_observed[level]
+                )
+        return np.concatenate(levels)
+
+    def path_costs(
+        self, probe_etx: np.ndarray, candidates: np.ndarray
+    ) -> np.ndarray:
+        """ETX of each probe link plus its candidate's path to the root.
+
+        A lockstep level walk: all candidates climb one hop per step, and
+        each adds its uplink's ETX to its running total — left to right
+        from the probe link up, the order a hop-by-hop walk sums in, so
+        every total matches that walk bit for bit.
+        """
+        depth = self.depth[candidates]
+        order = np.argsort(-depth, kind="stable")
+        depth = depth[order]
+        vertex = candidates[order]
+        total = probe_etx[order]
+        # Deepest first: the candidates still climbing at step s are a
+        # prefix, those deeper than s.
+        climbing = np.searchsorted(-depth, -np.arange(depth[0]), side="left")
+        for count in climbing.tolist():
+            hop = vertex[:count]
+            total[:count] += self.edge_etx[hop]
+            vertex[:count] = self.parent[hop]
+        cost = np.empty_like(total)
+        cost[order] = total
+        return cost

@@ -29,6 +29,10 @@ across.  Consumers:
 
 from __future__ import annotations
 
+from itertools import repeat
+
+import numpy as np
+
 from repro.errors import ConfigurationError
 
 #: Loss estimates are clamped below this when inverted into ETX so a
@@ -118,6 +122,29 @@ class LinkQualityEstimator:
         p_up = min(self.loss(a, b), MAX_LOSS_FOR_ETX)
         p_down = min(self.loss(b, a), MAX_LOSS_FOR_ETX)
         return 1.0 / ((1.0 - p_up) * (1.0 - p_down))
+
+    def etx_many(self, senders, receivers) -> np.ndarray:
+        """:meth:`etx` of each ``senders[i] -> receivers[i]`` link.
+
+        Takes equal-length sequences of vertex ids.  The clamp, complements,
+        product and reciprocal run elementwise in float64, the same IEEE
+        operations as the scalar method, so every entry equals the
+        corresponding :meth:`etx` call bit for bit.
+        """
+        get = self._loss.get
+        prior = repeat(self.prior_loss)
+        p_up = np.fromiter(map(get, zip(senders, receivers), prior), dtype=float)
+        p_down = np.fromiter(map(get, zip(receivers, senders), prior), dtype=float)
+        p_up = np.minimum(p_up, MAX_LOSS_FOR_ETX)
+        p_down = np.minimum(p_down, MAX_LOSS_FOR_ETX)
+        return 1.0 / ((1.0 - p_up) * (1.0 - p_down))
+
+    def observed_many(self, senders, receivers) -> np.ndarray:
+        """:meth:`link_observed` of each ``senders[i] <-> receivers[i]`` link."""
+        seen = self._loss.__contains__
+        up = np.fromiter(map(seen, zip(senders, receivers)), dtype=bool)
+        down = np.fromiter(map(seen, zip(receivers, senders)), dtype=bool)
+        return up | down
 
     @property
     def num_links(self) -> int:

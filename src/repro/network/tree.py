@@ -10,6 +10,7 @@ on every round.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -52,9 +53,14 @@ class RoutingTree:
         """Number of measuring nodes ``|N|`` (root and relays excluded)."""
         return self.num_vertices - 1 - len(self.relays)
 
-    @property
+    @cached_property
     def sensor_nodes(self) -> tuple[int, ...]:
-        """Indices of all measuring nodes (root and relays excluded)."""
+        """Indices of all measuring nodes (root and relays excluded).
+
+        Derived once per tree and cached on the instance (trees are
+        immutable; the cache is not a dataclass field, so equality and
+        hashing ignore it).
+        """
         return tuple(
             v
             for v in range(self.num_vertices)
@@ -75,9 +81,12 @@ class RoutingTree:
 
         return replace(self, relays=relays)
 
-    @property
+    @cached_property
     def top_down_order(self) -> tuple[int, ...]:
-        """Vertices ordered root-first (reverse of the bottom-up order)."""
+        """Vertices ordered root-first (reverse of the bottom-up order).
+
+        Cached like :attr:`sensor_nodes`.
+        """
         return tuple(reversed(self.bottom_up_order))
 
     def is_leaf(self, vertex: int) -> bool:

@@ -18,7 +18,9 @@ turn a round into a handful of segmented array operations:
   :meth:`~repro.radio.ledger.EnergyLedger.charge_batch` call.  Because
   ``np.add.at`` accumulates repeated indices in array order, the per-vertex
   addition sequence — and therefore every float in the ledger — matches the
-  scalar call sequence bit for bit.
+  scalar call sequence bit for bit.  ``charge_send_many``/
+  ``charge_recv_many`` record a run of equal-cost charges in one call
+  (tree repair's probe replies and membership reports).
 
 The opt-in contract for the fully segmented convergecast path —
 :class:`~repro.sim.engine.UniformPayload` — lives next to the base
@@ -233,6 +235,14 @@ class ChargeLog:
     computed immediately with the scalar ledger's own arithmetic, only the
     array updates are deferred.  ``flush()`` must run before anything reads
     the ledger — the engine flushes at the end of every primitive.
+
+    ``charge_send_many``/``charge_recv_many`` record a whole run of
+    same-cost charges at once, so callers that issue hundreds of identical
+    control frames (tree repair's probe replies) skip the per-charge Python
+    work.  The log is a sequence of *runs*: a scalar call is a run of one,
+    a bulk call a run of many charges sharing one cost; ``flush()`` expands
+    the runs with ``np.repeat``, keeping scalar and bulk records in exactly
+    the order they were made.
     """
 
     __slots__ = (
@@ -242,11 +252,15 @@ class ChargeLog:
         "_cpb_by_distance",
         "_recv_cpb",
         "_vertices",
+        "_pieces",
         "_joules",
         "_is_send",
         "_messages",
         "_bits",
         "_values",
+        "_bulk_runs",
+        "_bulk_sizes",
+        "_count",
     )
 
     def __init__(self, ledger: "EnergyLedger") -> None:
@@ -257,15 +271,33 @@ class ChargeLog:
         #: distance maps to the same constant, so this hits immediately.
         self._cpb_by_distance: dict[float, float] = {}
         self._recv_cpb = ledger.model.recv_cost
+        #: Charged vertices: scalar ones pending in ``_vertices``, earlier
+        #: ones (and every bulk run's) as arrays in ``_pieces``, in order.
         self._vertices: list[int] = []
+        self._pieces: list[np.ndarray] = []
+        #: One entry per run.
         self._joules: list[float] = []
         self._is_send: list[bool] = []
         self._messages: list[int] = []
         self._bits: list[int] = []
         self._values: list[int] = []
+        #: Run index and size of every bulk run.
+        self._bulk_runs: list[int] = []
+        self._bulk_sizes: list[int] = []
+        #: Charges held in bulk runs.
+        self._count = 0
 
     def __len__(self) -> int:
-        return len(self._vertices)
+        return len(self._joules) - len(self._bulk_runs) + self._count
+
+    def _send_cpb(self, link_distance: float) -> float:
+        cpb = self._cpb_by_distance.get(link_distance)
+        if cpb is None:
+            cpb = self._model.send_cost_per_bit(
+                self._radio_range, link_distance
+            )
+            self._cpb_by_distance[link_distance] = cpb
+        return cpb
 
     def charge_send(
         self,
@@ -275,14 +307,8 @@ class ChargeLog:
         link_distance: float = 0.0,
     ) -> None:
         """Record one transmission (same contract as the ledger's)."""
-        cpb = self._cpb_by_distance.get(link_distance)
-        if cpb is None:
-            cpb = self._model.send_cost_per_bit(
-                self._radio_range, link_distance
-            )
-            self._cpb_by_distance[link_distance] = cpb
         self._vertices.append(sender)
-        self._joules.append(cost.total_bits * cpb)
+        self._joules.append(cost.total_bits * self._send_cpb(link_distance))
         self._is_send.append(True)
         self._messages.append(cost.messages)
         self._bits.append(cost.total_bits)
@@ -297,16 +323,72 @@ class ChargeLog:
         self._bits.append(cost.total_bits)
         self._values.append(0)
 
+    def charge_send_many(
+        self, vertices, cost: "MessageCost", distances
+    ) -> None:
+        """Record ``charge_send(v, cost, link_distance=d)`` for each pair.
+
+        Equivalent to the scalar calls in the given order; each charge's
+        joules are ``total_bits`` times the scalar J/bit factor of its own
+        distance.
+        """
+        if self._model.per_link_distance:
+            # Joules differ per link: one single-charge run each.
+            for vertex, distance in zip(
+                np.asarray(vertices).tolist(), np.asarray(distances).tolist()
+            ):
+                self.charge_send(vertex, cost, link_distance=distance)
+            return
+        # The amplifier is charged at the nominal range: one factor.
+        joules = cost.total_bits * self._send_cpb(0.0)
+        self._record_run(vertices, joules, True, cost)
+
+    def charge_recv_many(self, vertices, cost: "MessageCost") -> None:
+        """Record ``charge_recv(v, cost)`` for each vertex, in order."""
+        joules = cost.total_bits * self._recv_cpb
+        self._record_run(vertices, joules, False, cost)
+
+    def _record_run(
+        self, vertices, joules: float, is_send: bool, cost: "MessageCost"
+    ) -> None:
+        # A copy: the caller may reuse its array before the flush.
+        vertices = np.array(vertices, dtype=np.int64)
+        size = vertices.shape[0]
+        if not size:
+            return
+        if self._vertices:
+            self._pieces.append(np.array(self._vertices, dtype=np.int64))
+            self._vertices.clear()
+        self._pieces.append(vertices)
+        self._bulk_runs.append(len(self._joules))
+        self._bulk_sizes.append(size)
+        self._count += size
+        self._joules.append(joules)
+        self._is_send.append(is_send)
+        self._messages.append(cost.messages)
+        self._bits.append(cost.total_bits)
+        self._values.append(0)
+
     def flush(self) -> None:
         """Apply every recorded charge to the ledger in recorded order."""
-        if not self._vertices:
+        if not self._joules:
             return
-        vertices = np.array(self._vertices, dtype=np.int64)
+        if self._vertices:
+            self._pieces.append(np.array(self._vertices, dtype=np.int64))
+        pieces = self._pieces
+        vertices = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
         joules = np.array(self._joules, dtype=np.float64)
         is_send = np.array(self._is_send, dtype=bool)
         messages = np.array(self._messages, dtype=np.int64)
         bits = np.array(self._bits, dtype=np.int64)
         values = np.array(self._values, dtype=np.int64)
+        if self._bulk_runs:
+            sizes = np.ones(len(joules), dtype=np.int64)
+            sizes[self._bulk_runs] = self._bulk_sizes
+            joules, is_send, messages, bits, values = (
+                np.repeat(column, sizes)
+                for column in (joules, is_send, messages, bits, values)
+            )
         send = is_send
         recv = ~is_send
         self._ledger.charge_batch(
@@ -320,9 +402,16 @@ class ChargeLog:
             recv_messages=messages[recv],
             recv_bits=bits[recv],
         )
-        self._vertices.clear()
-        self._joules.clear()
-        self._is_send.clear()
-        self._messages.clear()
-        self._bits.clear()
-        self._values.clear()
+        for records in (
+            self._vertices,
+            self._pieces,
+            self._joules,
+            self._is_send,
+            self._messages,
+            self._bits,
+            self._values,
+            self._bulk_runs,
+            self._bulk_sizes,
+        ):
+            records.clear()
+        self._count = 0

@@ -185,6 +185,21 @@ class TestEtx:
         est = LinkQualityEstimator(prior_loss=0.05)
         assert est.etx(7, 8) == pytest.approx(1.0 / (0.95 * 0.95))
 
+    def test_batched_etx_and_observed_match_scalar_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        est = LinkQualityEstimator(smoothing=0.3, prior_loss=0.07)
+        for _ in range(3000):
+            a, b = (int(v) for v in rng.integers(0, 40, size=2))
+            # Black links included, so the clamp is exercised too.
+            est.observe(a, b, delivered=bool(rng.random() < 0.4))
+        senders = rng.integers(0, 50, size=500).tolist()
+        receivers = rng.integers(0, 50, size=500).tolist()
+        expected = np.array([est.etx(a, b) for a, b in zip(senders, receivers)])
+        assert est.etx_many(senders, receivers).tobytes() == expected.tobytes()
+        assert est.observed_many(senders, receivers).tolist() == [
+            est.link_observed(a, b) for a, b in zip(senders, receivers)
+        ]
+
 
 class TestBurstTracking:
     """The estimator must ramp inside a loss burst and decay after it."""

@@ -855,3 +855,98 @@ def test_add_at_accumulates_in_array_order():
     for value in addends:
         sequential += value
     assert batched[0] == sequential
+
+
+class TestChargeLogBulkRecording:
+    """``charge_send_many``/``charge_recv_many`` replay the scalar calls."""
+
+    LEDGER_ARRAYS = (
+        "energy",
+        "_round_energy",
+        "messages_sent",
+        "messages_received",
+        "bits_sent",
+        "bits_received",
+        "values_sent",
+    )
+
+    @staticmethod
+    def script(rng, num_vertices):
+        """A random mix of scalar and bulk charges with repeated vertices."""
+        from repro.radio.message import MessageCost, ack_cost, message_bits
+
+        costs = (
+            ack_cost(),
+            message_bits(96),
+            message_bits(2000),
+            MessageCost(messages=0, total_bits=16, payload_bits=16),
+        )
+        steps = []
+        for _ in range(60):
+            cost = costs[int(rng.integers(len(costs)))]
+            kind = int(rng.integers(4))
+            size = int(rng.integers(0, 6))
+            # Few distinct vertices, so every vertex is charged many times
+            # in interleaved scalar and bulk runs.
+            vertices = rng.integers(0, num_vertices, size=size).tolist()
+            distances = rng.uniform(1.0, 40.0, size=size).tolist()
+            if kind == 0:
+                steps.append(("send_many", vertices, cost, distances))
+            elif kind == 1:
+                steps.append(("recv_many", vertices, cost, None))
+            elif kind == 2:
+                steps.append(
+                    ("send", vertices[:1] or [0], cost, distances[:1] or [5.0])
+                )
+            else:
+                steps.append(("recv", vertices[:1] or [0], cost, None))
+        return steps
+
+    @staticmethod
+    def replay_scalar(ledger, steps):
+        for kind, vertices, cost, distances in steps:
+            if kind.startswith("send"):
+                for vertex, distance in zip(vertices, distances):
+                    ledger.charge_send(vertex, cost, link_distance=distance)
+            else:
+                for vertex in vertices:
+                    ledger.charge_recv(vertex, cost)
+
+    @staticmethod
+    def replay_log(log, steps):
+        for kind, vertices, cost, distances in steps:
+            if kind == "send_many":
+                log.charge_send_many(
+                    np.array(vertices, dtype=np.int64), cost, np.array(distances)
+                )
+            elif kind == "recv_many":
+                log.charge_recv_many(vertices, cost)
+            elif kind == "send":
+                log.charge_send(vertices[0], cost, link_distance=distances[0])
+            else:
+                log.charge_recv(vertices[0], cost)
+
+    @pytest.mark.parametrize("per_link", [False, True])
+    @pytest.mark.parametrize("round_open", [True, False])
+    def test_bulk_flush_matches_scalar_sequence(self, per_link, round_open):
+        from repro.sim.vectorized import ChargeLog
+
+        rng = np.random.default_rng(17 + per_link + 2 * round_open)
+        steps = self.script(rng, num_vertices=5)
+        model = EnergyModel(per_link_distance=per_link)
+        scalar = EnergyLedger(6, 0, model, RADIO_RANGE)
+        batched = EnergyLedger(6, 0, model, RADIO_RANGE)
+        if round_open:
+            scalar.begin_round()
+            batched.begin_round()
+        self.replay_scalar(scalar, steps)
+        log = ChargeLog(batched)
+        self.replay_log(log, steps)
+        assert len(log) == sum(len(step[1]) for step in steps)
+        log.flush()
+        assert len(log) == 0
+        for name in self.LEDGER_ARRAYS:
+            expected = getattr(scalar, name).tobytes()
+            assert getattr(batched, name).tobytes() == expected, name
+        log.flush()  # an empty flush changes nothing
+        assert scalar.energy.tobytes() == batched.energy.tobytes()
