@@ -1,16 +1,18 @@
-"""Engine hot-path microbenchmark: vectorized core vs the object core.
+"""Engine hot-path microbenchmark: the array pipeline vs the object walk.
 
 Times lossless convergecast rounds (the paper's dominant primitive) on
-random recursive trees at 300 / 3 000 / 30 000 vertices under both
-simulation cores, plus the vectorized full round (convergecast +
-broadcast) and the per-round ledger-batch overhead.  The node counts are
+random recursive trees at 300 / 3 000 / 30 000 vertices on the production
+``TreeNetwork`` ("vector") and on the per-hop object walk kept as the
+differential reference in ``tests/engine_reference.py`` ("object"), plus
+the production full round (convergecast + broadcast) and the per-round
+ledger-batch overhead.  The node counts are
 the trajectory axis and stay fixed across scales; ``REPRO_BENCH_SCALE``
 only controls how many rounds are timed.  Results land in
 ``BENCH_engine.json`` (results dir + repo root) — the machine-readable
 perf trajectory that ``benchmarks/check_perf.py`` gates CI on.
 
 The acceptance headline is the 3 000-vertex cell: the committed record
-must show the vectorized core >= 5x the object core on lossless
+must show the array pipeline >= 5x the object walk on lossless
 convergecast.  The in-test assertion uses a 3x floor so a noisy CI
 runner cannot flake a genuinely fast core.
 """
@@ -29,6 +31,7 @@ from repro.network.tree import RoutingTree, tree_from_parents
 from repro.radio.energy import EnergyModel
 from repro.radio.ledger import EnergyLedger
 from repro.sim.engine import TreeNetwork, UniformPayload
+from tests.engine_reference import ReferenceTreeNetwork
 
 SIZES = (300, 3_000, 30_000)
 #: Timed rounds per size at scale 1; multiplied by the benchmark scale.
@@ -44,7 +47,7 @@ class CountPayload(UniformPayload):
 
     This is the paper's canonical convergecast workload, so it pins
     ``uniform_leaf_values = 1`` — each contributed instance carries exactly
-    one value, which lets the vectorized core skip per-object intake.
+    one value, which lets the engine skip per-object intake.
     """
 
     count: int
@@ -73,13 +76,15 @@ def random_recursive_tree(n: int, seed: int = 29) -> RoutingTree:
 
 
 def fresh_net(tree: RoutingTree, core: str) -> TreeNetwork:
+    """The production network (``"vector"``) or the object walk."""
     ledger = EnergyLedger(
         num_vertices=tree.num_vertices,
         root=tree.root,
         model=EnergyModel(),
         radio_range=RADIO_RANGE,
     )
-    return TreeNetwork(tree, ledger, core=core)
+    cls = ReferenceTreeNetwork if core == "object" else TreeNetwork
+    return cls(tree, ledger)
 
 
 #: Timed repeats per measurement; best-of is reported.  Wall-clock noise is

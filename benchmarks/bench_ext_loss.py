@@ -3,6 +3,7 @@
 Sweeps the per-transmission loss probability and reports, per algorithm,
 how often the answer was still exact, how far off it was in rank and value,
 and how often the protocol state broke down entirely (requiring a re-sync).
+The study is the fault experiment without retries (``retry_budgets=(0,)``).
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 from repro.experiments.config import default_algorithms
 
 from benchmarks.common import archive, bench_scale, run_once
-from repro.extensions.loss import run_loss_experiment
+from repro.faults import run_fault_experiment
 
 LOSS_RATES = (0.0, 0.01, 0.05, 0.1, 0.2)
 
@@ -22,12 +23,19 @@ def compute():
         for name, factory in default_algorithms().items()
         if name in ("TAG", "POS", "HBC", "IQ")
     }
-    return run_loss_experiment(
+    return run_fault_experiment(
         algorithms,
-        loss_probabilities=LOSS_RATES,
+        loss_rates=LOSS_RATES,
+        retry_budgets=(0,),
         num_nodes=max(50, round(500 * scale)),
         num_rounds=max(25, round(250 * scale)),
     )
+
+
+def series(result, algorithm: str):
+    """One algorithm's cells, ordered by loss rate."""
+    selected = [p for p in result.points if p.algorithm == algorithm]
+    return sorted(selected, key=lambda p: p.loss_rate)
 
 
 def test_ext_loss_rank_error(benchmark):
@@ -39,9 +47,9 @@ def test_ext_loss_rank_error(benchmark):
     ]
     algorithms = sorted({p.algorithm for p in result.points})
     for name in algorithms:
-        for point in result.series(name):
+        for point in series(result, name):
             lines.append(
-                f"{name:10s} {point.loss_probability:5.2f} "
+                f"{name:10s} {point.loss_rate:5.2f} "
                 f"{point.exact_fraction:7.2f} {point.mean_rank_error:9.2f} "
                 f"{point.mean_value_error:10.2f} {point.failure_rate:9.2f}"
             )
@@ -50,9 +58,9 @@ def test_ext_loss_rank_error(benchmark):
     archive("ext_loss", text)
 
     for name in algorithms:
-        series = result.series(name)
+        cells = series(result, name)
         # Lossless operation is exact; errors grow with the loss rate.
-        assert series[0].exact_fraction == 1.0
-        assert series[0].mean_rank_error == 0.0
-        assert series[-1].exact_fraction < 1.0
-        assert series[-1].mean_rank_error >= series[0].mean_rank_error
+        assert cells[0].exact_fraction == 1.0
+        assert cells[0].mean_rank_error == 0.0
+        assert cells[-1].exact_fraction < 1.0
+        assert cells[-1].mean_rank_error >= cells[0].mean_rank_error

@@ -8,8 +8,9 @@ small retry budget buys back most of the accuracy that loss destroys — at a
 measured, bounded energy premium.
 
 ``test_faulty_core_throughput`` additionally times the faulty convergecast
-itself — vectorized core vs the object reference, per loss x retry cell —
-after asserting the two cores produce bit-identical ledgers, and emits the
+itself — the production pipeline ("vector") vs the per-hop object walk of
+``tests/engine_reference.py`` ("object"), per loss x retry cell — after
+asserting the two produce bit-identical ledgers, and emits the
 machine-readable ``BENCH_faults.json`` record that ``check_perf.py`` gates
 CI on.
 """
@@ -44,6 +45,7 @@ from repro.network.topology import connected_random_graph
 from repro.radio.energy import EnergyModel
 from repro.radio.ledger import EnergyLedger
 from repro.types import QuerySpec
+from tests.engine_reference import ReferenceFaultyTreeNetwork, use_reference
 
 LOSS_RATES = (0.0, 0.05, 0.1)
 RETRY_BUDGETS = (0, 2)
@@ -58,6 +60,7 @@ RADIO_RANGE = 35.0
 
 
 def faulty_net(tree, core: str, loss_rate: float, retries: int, seed: int):
+    """The production faulty network (``"vector"``) or the object walk."""
     ledger = EnergyLedger(
         num_vertices=tree.num_vertices,
         root=tree.root,
@@ -67,9 +70,8 @@ def faulty_net(tree, core: str, loss_rate: float, retries: int, seed: int):
     plan = FaultPlan(
         loss=IndependentLoss(loss_rate), rng=np.random.default_rng(seed)
     )
-    return FaultyTreeNetwork(
-        tree, ledger, plan=plan, arq=ArqPolicy(max_retries=retries), core=core
-    )
+    cls = ReferenceFaultyTreeNetwork if core == "object" else FaultyTreeNetwork
+    return cls(tree, ledger, plan=plan, arq=ArqPolicy(max_retries=retries))
 
 
 def time_faulty_rounds(net, contributions, rounds: int) -> float:
@@ -97,7 +99,7 @@ def time_faulty_rounds(net, contributions, rounds: int) -> float:
 
 
 def assert_cores_bit_identical(loss_rate: float, retries: int) -> None:
-    """Both cores must produce bit-identical ledgers before we time them."""
+    """Production and reference must produce bit-identical ledgers first."""
     tree = random_recursive_tree(EQUIVALENCE_SIZE, seed=31)
     contributions = {v: CountPayload(1) for v in tree.sensor_nodes}
     ledgers = {}
@@ -133,7 +135,7 @@ def build_failover_driver(core: str) -> FaultDriver:
         churn=ScheduledChurn({FAILOVER_KILL_ROUND: (tree.root,)}),
         rng=np.random.default_rng(77),
     )
-    return FaultDriver(
+    driver = FaultDriver(
         default_algorithms()["POS"],
         QuerySpec(r_min=workload.r_min, r_max=workload.r_max),
         tree,
@@ -144,8 +146,8 @@ def build_failover_driver(core: str) -> FaultDriver:
         repair=True,
         radio_range=RADIO_RANGE,
         failover_rng=np.random.default_rng(19),
-        core=core,
     )
+    return use_reference(driver) if core == "object" else driver
 
 
 def time_failover_runs(core: str, rounds: int) -> float:

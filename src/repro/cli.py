@@ -6,10 +6,10 @@ Subcommands:
 * ``sweep``   — one figure's parameter sweep (Figures 6-9).
 * ``pressure``— the air-pressure sampling-rate sweep (Figure 10).
 * ``xi-trace``— IQ's Ξ trace (Figure 4) as a text chart.
-* ``loss``    — the message-loss rank-error study (future work, Section 6).
 * ``faults``  — the full fault-injection study: loss x retry-budget matrix
   over every algorithm (exact + sketch), with optional burst loss and node
-  churn, per-hop ARQ and the root watchdog (``repro.faults``).
+  churn, per-hop ARQ and the root watchdog (``repro.faults``); ``--retries
+  0`` is the message-loss rank-error study (future work, Section 6).
 * ``sketch``  — approximate quantiles: the energy-vs-rank-error sweep over
   the sketch family's error budget ε (``repro.sketch``).
 * ``queries`` — multi-query serving: register a φ-grid, group-by regions
@@ -27,7 +27,6 @@ Examples::
     python -m repro sweep period --scale 0.2
     python -m repro pressure --pessimistic
     python -m repro xi-trace --rounds 125
-    python -m repro loss --rates 0 0.05 0.1
     python -m repro faults --loss 0.05 --retries 2
     python -m repro faults --loss 0.05 0.1 --retries 0 2 --burst 8 --churn 0.01
     python -m repro sketch --eps 0.02 0.05 0.1
@@ -46,7 +45,6 @@ from repro.experiments.figures import fig4_xi_trace
 from repro.experiments.report import format_comparison, format_sweep_table
 from repro.experiments.runner import run_synthetic_experiment
 from repro.experiments.sweeps import SWEEP_VARIABLES, sweep, sweep_pressure
-from repro.extensions.loss import run_loss_experiment
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -91,13 +89,6 @@ def build_parser() -> argparse.ArgumentParser:
     xi = sub.add_parser("xi-trace", help="Figure 4: IQ's band over time")
     xi.add_argument("--rounds", type=int, default=125)
     xi.add_argument("--nodes", type=int, default=200)
-
-    loss = sub.add_parser("loss", help="rank error under message loss")
-    loss.add_argument(
-        "--rates", type=float, nargs="+", default=[0.0, 0.05, 0.1, 0.2]
-    )
-    loss.add_argument("--nodes", type=int, default=100)
-    loss.add_argument("--rounds", type=int, default=60)
 
     faults = sub.add_parser(
         "faults",
@@ -489,26 +480,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                 ),
             )
         )
-        return 0
-
-    if command == "loss":
-        result = run_loss_experiment(
-            default_algorithms(),
-            loss_probabilities=tuple(args.rates),
-            num_nodes=args.nodes,
-            num_rounds=args.rounds,
-        )
-        print(
-            f"{'algorithm':10s} {'loss':>5s} {'exact':>7s} "
-            f"{'rank-err':>9s} {'value-err':>10s} {'failures':>9s}"
-        )
-        for name in sorted({p.algorithm for p in result.points}):
-            for point in result.series(name):
-                print(
-                    f"{name:10s} {point.loss_probability:5.2f} "
-                    f"{point.exact_fraction:7.2f} {point.mean_rank_error:9.2f} "
-                    f"{point.mean_value_error:10.2f} {point.failure_rate:9.2f}"
-                )
         return 0
 
     raise AssertionError(f"unhandled command {command!r}")  # pragma: no cover

@@ -15,7 +15,7 @@ Link loss is modelled per directed link so acknowledgements can be lost
 independently of the data frames they confirm.  Two loss processes ship:
 
 * :class:`IndependentLoss` — i.i.d. Bernoulli loss per transmission, the
-  classical model (and what ``extensions/loss.py`` always simulated).
+  classical model (and what the paper's Section 6 loss study assumes).
 * :class:`GilbertElliottLoss` — the two-state Markov burst-loss model:
   each link flips between a good state (rare loss) and a bad/burst state
   (frequent loss).  Bursts are what interference and fading actually look
@@ -62,8 +62,8 @@ class LinkLossModel(ABC):
     them, including zero).  That is what lets
     :meth:`FaultPlan.batched_sampling` serve the same stream from
     block-drawn uniforms while leaving the generator in the exact state
-    sequential sampling would have — the property the vectorized faulty
-    convergecast's bit-for-bit equivalence rests on
+    sequential sampling would have — the property the convergecast's
+    decide loop rests on for bit-for-bit equivalence with scalar sampling
     (``tests/test_fault_sampling.py``).
     """
 
@@ -560,7 +560,7 @@ class FaultPlan:
         On exit (normal or exceptional) the real generator is restored
         and advanced to the exact state sequential sampling would have
         left it in, so churn/outage draws in later rounds stay
-        bit-identical across the object and vector cores.
+        bit-identical to scalar sampling.
 
         Sessions must not nest (the inner snapshot would capture the
         shim, not the generator), and the plan must not be shared across

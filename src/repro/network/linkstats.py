@@ -9,8 +9,9 @@ a subtree through the lossiest link in range).
 
 :class:`LinkQualityEstimator` is the one shared answer.  It keeps an
 exponentially weighted loss estimate per *directed* link, fed with raw
-channel outcomes by :meth:`~repro.faults.network.FaultyTreeNetwork._hop_delivered`
-(data frames update the uplink, ACK frames the downlink), and derives the
+channel outcomes by every convergecast of a
+:class:`~repro.faults.network.FaultyTreeNetwork` (data frames update the
+uplink, ACK frames the downlink), and derives the
 classical ETX metric of De Couto et al.::
 
     ETX(a, b) = 1 / ((1 - p_up) * (1 - p_down))
@@ -29,7 +30,7 @@ across.  Consumers:
 
 from __future__ import annotations
 
-from itertools import repeat
+from itertools import chain, compress, repeat
 
 import numpy as np
 
@@ -84,21 +85,119 @@ class LinkQualityEstimator:
         :meth:`observe`, so per-link estimates, dict insertion order and
         the :attr:`observations` counter are bit-identical to the
         equivalent sequence of scalar calls — the EWMA is order-dependent,
-        so no closed-form fold is attempted.  The vectorized faulty
-        convergecast uses this to replay its deferred observations once
-        per phase instead of once per hop.
+        so no closed-form fold is attempted.
         """
-        loss = self._loss
-        prior = self.prior_loss
-        weight = self.smoothing
-        count = 0
         for sender, receiver, ok in zip(senders, receivers, delivered):
-            key = (sender, receiver)
-            previous = loss.get(key, prior)
-            sample = 0.0 if ok else 1.0
-            loss[key] = (1.0 - weight) * previous + weight * sample
-            count += 1
-        self.observations += count
+            self.observe(sender, receiver, ok)
+
+    def observe_hops(
+        self,
+        senders,
+        receivers,
+        attempts=None,
+        frame_ok=None,
+        parent_up=None,
+        final_ack=None,
+        arq: bool = False,
+    ) -> None:
+        """Fold one convergecast's channel samples, bit-exactly.
+
+        Hop ``i`` sent ``attempts[i]`` data frames (default one) from
+        ``senders[i]`` to ``receivers[i]``; ``frame_ok`` holds every
+        attempt's outcome, hop-major (default: all delivered).  A hop whose
+        parent was down (``parent_up[i]`` false) samples no channel.  With
+        ``arq`` each delivered frame was acknowledged: every ACK but the
+        hop's last was lost (else the hop would have stopped), and
+        ``final_ack[i]`` is the last one's outcome.
+
+        The result equals calling :meth:`observe` hop by hop — uplink
+        samples, then the hop's downlink samples — but runs as arrays.  A
+        convergecast samples each directed tree link from one hop only and
+        a hop's samples of one link are consecutive, so per-link EWMA
+        chains are independent: one elementwise ``(1-s)*prev + s*sample``
+        step per attempt index performs each link's scalar float sequence.
+        New links are inserted in hop order, uplink before downlink.
+        """
+        hop_count = len(senders)
+        if not hop_count:
+            return
+        d = self._loss
+        prior = self.prior_loss
+        s = self.smoothing
+        keep = 1.0 - s
+        dget = d.get
+        tx = np.asarray(senders).tolist()
+        par_list = np.asarray(receivers).tolist()
+        if attempts is None:
+            attempts = np.ones(hop_count, dtype=np.int64)
+        offsets = np.zeros(hop_count, dtype=np.int64)
+        np.cumsum(attempts[:-1], out=offsets[1:])
+        if frame_ok is None:
+            frame_ok = np.ones(int(attempts.sum()), dtype=bool)
+        all_up = parent_up is None or bool(parent_up.all())
+        # Key tuples come straight off zip (the pair IS the key) and the
+        # prior lookups run as map(dict.get, ...) at C speed.  Missing links
+        # only appear while the topology is still being explored, so the
+        # slow interleaved insertion loop runs a handful of times per
+        # experiment.
+        pairs_up = zip(tx, par_list)
+        up_flags = [True] * hop_count if all_up else parent_up.tolist()
+        up_keys = list(pairs_up) if all_up else list(compress(pairs_up, up_flags))
+        if arq:
+            ok_frames = np.add.reduceat(frame_ok.astype(np.int64), offsets)
+            dn_flags = (ok_frames > 0).tolist()
+            dn_keys = list(compress(zip(par_list, tx), dn_flags))
+        else:
+            dn_flags = [False] * hop_count
+            dn_keys = []
+        prev_up = list(map(dget, up_keys, repeat(prior)))
+        prev_dn = list(map(dget, dn_keys, repeat(prior)))
+        new_links = not all(map(d.__contains__, chain(up_keys, dn_keys)))
+        samples = 0
+        up_vals: list[float] = []
+        dn_vals: list[float] = []
+        if up_keys:
+            up_hops = np.arange(hop_count) if all_up else np.flatnonzero(parent_up)
+            cur = np.array(prev_up, dtype=np.float64)
+            lens = attempts[up_hops]
+            starts = offsets[up_hops]
+            fail = (~frame_ok).astype(np.float64)
+            for j in range(int(lens.max())):
+                m = lens > j
+                cur[m] = keep * cur[m] + s * fail[starts[m] + j]
+            up_vals = cur.tolist()
+            samples += int(lens.sum())
+        if dn_keys:
+            dn_hops = np.flatnonzero(ok_frames > 0)
+            curd = np.array(prev_dn, dtype=np.float64)
+            k_arr = ok_frames[dn_hops]
+            final_fail = (~np.array(final_ack, dtype=bool)[dn_hops]).astype(
+                np.float64
+            )
+            for j in range(int(k_arr.max())):
+                m = k_arr > j
+                sample = np.where(k_arr[m] == j + 1, final_fail[m], 1.0)
+                curd[m] = keep * curd[m] + s * sample
+            dn_vals = curd.tolist()
+            samples += int(k_arr.sum())
+        if not new_links:
+            # Every key already exists, so assignment order cannot change
+            # the dict's (observable) insertion order: bulk-update.
+            d.update(zip(up_keys, up_vals))
+            d.update(zip(dn_keys, dn_vals))
+        else:
+            # First sighting of at least one link: insert hop by hop,
+            # uplink before downlink, as the scalar calls would.
+            up_iter = iter(zip(up_keys, up_vals))
+            dn_iter = iter(zip(dn_keys, dn_vals))
+            for up_here, dn_here in zip(up_flags, dn_flags):
+                if up_here:
+                    key, val = next(up_iter)
+                    d[key] = val
+                if dn_here:
+                    key, val = next(dn_iter)
+                    d[key] = val
+        self.observations += samples
 
     def loss(self, sender: int, receiver: int) -> float:
         """Current loss estimate for the directed link (prior if unseen)."""

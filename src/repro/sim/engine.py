@@ -4,10 +4,11 @@ Two primitives cover everything the paper's algorithms do:
 
 * **convergecast** — leaf-to-root aggregation.  Every sensor node may
   contribute a payload; payloads are merged bottom-up (TAG-style in-network
-  aggregation), and a vertex transmits to its parent iff its merged payload
-  is non-empty.  Merging is algorithm-specific (summing counters, unioning
-  multisets, adding histograms, pruning to the f largest values, ...), so
-  payloads implement the small :class:`Payload` interface.
+  aggregation), and a vertex transmits to its parent iff it holds data
+  (its own contribution or a child's delivered payload).  Merging is
+  algorithm-specific (summing counters, unioning multisets, adding
+  histograms, pruning to the f largest values, ...), so payloads implement
+  the small :class:`Payload` interface.
 
 * **broadcast** — root-to-leaves flooding.  Every internal vertex
   retransmits the payload once; every non-root vertex receives it once.
@@ -19,49 +20,67 @@ Energy and traffic are charged to the :class:`~repro.radio.EnergyLedger`
 exactly as described in Section 5.1.4: the sender pays
 ``s * (alpha + beta * rho^p)``, every scheduled receiver pays ``s * alpha_r``.
 
-Two interchangeable cores run the primitives (``core=`` or the
-``REPRO_SIM_CORE`` environment variable):
+The convergecast pipeline
+-------------------------
 
-* ``"vector"`` (the default) — the struct-of-arrays core built on
-  :mod:`repro.sim.vectorized`: one convergecast or broadcast is a handful
-  of segmented array operations over per-vertex arrays, and the energy
-  ledger is charged in one ordered batch.  Payload *merging* stays
-  per-object (it is algorithm-defined) unless the payload class opts into
-  the :class:`UniformPayload` contract, in which case even the merge folds
-  level by level as array sums.  Fault injection gets the same treatment:
-  :class:`~repro.faults.network.FaultyTreeNetwork` batches its loss/ARQ
-  convergecast (block-drawn uniforms, deferred link-stats replay, one
-  expanded charge batch) while keeping the per-hop decision sequence —
-  and under the uniform contract drops per-hop payload objects entirely.
-* ``"object"`` — the original per-vertex reference implementation, kept
-  verbatim as the differential baseline: both cores must produce
-  bit-for-bit identical ledgers, logs and answers on every input
-  (``tests/test_vectorized.py`` pins this across the loss, churn and
-  rotation axes).
+One :meth:`TreeNetwork.convergecast` serves the reliable network and every
+fault-injecting subclass, in four stages:
+
+1. **Intake** drops empty payloads and contributions of vertices in the
+   one :meth:`TreeNetwork._down_mask` read per call.
+2. **Decide** works out which hops are sent and which deliver, looking
+   only at *which* vertices hold data, never at payloads.  With nothing
+   injected and ARQ off every holder sends once and delivers (array work,
+   no Python loop); otherwise :class:`~repro.faults.network.
+   FaultyTreeNetwork` makes the loss and ARQ decisions in one lean loop.
+3. **Fold** merges payloads along the delivered edges in bottom-up order:
+   per object with ``merged_with`` (which also sizes each hop), or, when
+   every contribution is one :class:`UniformPayload` class, as array
+   subtree sums plus one :meth:`UniformPayload.vector_reduce`.
+4. **Account** charges every attempt of every hop in one ordered
+   ``charge_batch`` (:func:`~repro.sim.vectorized.expand_arq_charges`; a
+   reliable hop is one attempt with ARQ off), adds the on-air bits to
+   :attr:`TreeNetwork.phase_bits`, and logs a :class:`CollectionRecord`
+   whose delivered set is a top-down "every hop delivered" fold.
+
+Contracts, checked against the per-hop walk in ``tests/engine_reference.py``:
+
+* **RNG stream order.**  One draw per data frame, then one per ACK, hop by
+  hop bottom-up, attempt by attempt; a hop to a down parent fails every
+  attempt without a draw.  Block-drawn uniforms are rewound and replayed
+  on exit, so the generator ends where scalar sampling would leave it.
+* **Charge order.**  Per attempt: child send, parent receive (parent up),
+  parent ACK send (frame survived, ARQ on), child ACK-window receive (ARQ
+  on).  ``np.add.at`` accumulates in array order, so every per-vertex
+  float sum equals the scalar call sequence.
+* **EWMA replay.**  A static ARQ policy's channel samples are folded into
+  the :class:`~repro.network.linkstats.LinkQualityEstimator` once per
+  convergecast, with the scalar recurrence and insertion order; a
+  per-link (adaptive) policy reads its estimator between hops, so its
+  feedback stays inline.
 """
 
 from __future__ import annotations
 
-import os
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from itertools import compress, repeat
 from typing import ClassVar, Mapping, Optional, Sequence, TypeVar
 
 import numpy as np
 
-from repro.constants import HEADER_BITS, MAX_PAYLOAD_BITS
-from repro.errors import ConfigurationError, ProtocolError
+from repro.constants import ACK_FRAME_BITS, HEADER_BITS, MAX_PAYLOAD_BITS
+from repro.errors import ProtocolError
 from repro.network.tree import RoutingTree
 from repro.radio.ledger import EnergyLedger
 from repro.radio.message import message_bits
-from repro.sim.vectorized import ChargeLog, TreeArrays, send_cost_per_bit_array
+from repro.sim.vectorized import (
+    TreeArrays,
+    expand_arq_charges,
+    send_cost_per_bit_array,
+)
 
 P = TypeVar("P", bound="Payload")
-
-#: Environment variable selecting the default simulation core.
-CORE_ENV = "REPRO_SIM_CORE"
-
-_CORES = ("vector", "object")
 
 
 @dataclass(frozen=True)
@@ -112,7 +131,7 @@ class Payload(ABC):
 
 
 class UniformPayload(Payload):
-    """Opt-in contract for the fully segmented convergecast path.
+    """Opt-in contract for the array fold of the convergecast.
 
     A payload class may subclass this to promise, on top of the base
     :class:`Payload` contract:
@@ -125,26 +144,24 @@ class UniformPayload(Payload):
     * :meth:`vector_reduce` equals folding ``merged_with`` over the same
       payloads in any order.
 
-    When every contribution of a convergecast is one such class (and no
-    fault hooks are active), the vectorized core never merges objects:
-    subtree occupancy and value counts fold bottom-up one topological level
-    at a time with ``np.add.at``, and only the root answer is materialized
-    via :meth:`vector_reduce`.  Classes that cannot honour all four
-    promises must stay plain :class:`Payload` subclasses — they still run
-    on the vectorized core, just through the per-object path.
+    When every contribution of a convergecast is one such class, the
+    engine never merges objects: value counts fold bottom-up one
+    topological level at a time with ``np.add.at``, and only the root
+    answer is materialized via :meth:`vector_reduce`.  Classes that cannot
+    honour all four promises must stay plain :class:`Payload` subclasses —
+    they fold per object.
     """
 
     #: Serialized size [bits] of a leaf payload and of any merge result.
     uniform_bits: ClassVar[int] = 0
 
-    #: Optional extra promise: every *contributed* (leaf) instance reports
-    #: ``num_values() == uniform_leaf_values`` (merge results may differ).
-    #: When set — and the class keeps the default ``is_empty`` — the engine
-    #: never touches the payload objects during intake either: contributor
-    #: ids come straight off the mapping keys and the values statistic is
-    #: priced from this constant.  The paper's canonical workload (every
-    #: sensor contributes one reading per round) is ``uniform_leaf_values
-    #: = 1``.
+    #: Optional extra promise: every *contributed* (leaf) instance is
+    #: non-empty and reports ``num_values() == uniform_leaf_values`` (merge
+    #: results may differ).  When set, the engine never touches the payload
+    #: objects during intake: contributor ids come straight off the mapping
+    #: keys and the values statistic is priced from this constant.  The
+    #: paper's canonical workload (every sensor contributes one reading per
+    #: round) is ``uniform_leaf_values = 1``.
     uniform_leaf_values: ClassVar[int | None] = None
 
     def payload_bits(self) -> int:
@@ -158,6 +175,29 @@ class UniformPayload(Payload):
         """Merge ``payloads`` (at least one) into the root's answer."""
 
 
+@dataclass
+class Hops:
+    """The decide stage's verdict on one convergecast.
+
+    ``walk``: the live vertices holding data, bottom-up, root excluded;
+    ``delivered``: per ``walk`` entry, whether it reached its parent;
+    ``senders``: ``walk`` minus virtual vertices (the radio hops);
+    ``attempts``/``parent_up``/``final_ack``: per hop, data-frame attempts,
+    whether the parent listened, the last ACK's outcome; ``frame_ok``: per
+    attempt, hop-major.  ``None`` means one delivered attempt per hop to a
+    listening parent; ``arq`` says whether ACKs ran.
+    """
+
+    walk: np.ndarray
+    delivered: list[bool] | None
+    senders: np.ndarray
+    attempts: np.ndarray | None = None
+    frame_ok: np.ndarray | None = None
+    parent_up: np.ndarray | None = None
+    final_ack: list[bool] | None = None
+    arq: bool = False
+
+
 class TreeNetwork:
     """Binds a routing tree to an energy ledger and runs the primitives.
 
@@ -168,14 +208,10 @@ class TreeNetwork:
     no radio energy or message accounting is charged on it.  Virtual
     vertices must be leaves.
 
-    ``core`` selects the simulation core (``"vector"``/``"object"``, see
-    the module docstring); ``None`` reads :data:`CORE_ENV` and falls back
-    to ``"vector"``.  The object-view contract for subclasses: overriding
-    :meth:`_vertex_down` or :meth:`_hop_delivered` automatically routes
-    convergecasts through the per-hop path (the hooks stay authoritative),
-    and a subclass overriding :meth:`_vertex_down` must override
-    :meth:`_down_mask` to match or its broadcasts fall back to the object
-    path as well.
+    The base class is a perfectly reliable network.  Two seams let
+    :class:`~repro.faults.network.FaultyTreeNetwork` inject faults into
+    both primitives: :meth:`_down_mask` (who is out of service) and
+    :meth:`_decide_hops` (which hops deliver).
     """
 
     def __init__(
@@ -183,7 +219,6 @@ class TreeNetwork:
         tree: RoutingTree,
         ledger: EnergyLedger,
         virtual_vertices: frozenset[int] | set[int] = frozenset(),
-        core: str | None = None,
     ) -> None:
         if tree.num_vertices != ledger.num_vertices:
             raise ProtocolError(
@@ -202,16 +237,9 @@ class TreeNetwork:
                 raise ProtocolError(
                     f"virtual vertex {vertex} must be a leaf of the tree"
                 )
-        if core is None:
-            core = os.environ.get(CORE_ENV, "vector")
-        if core not in _CORES:
-            raise ConfigurationError(
-                f"unknown simulation core {core!r}; pick one of {_CORES}"
-            )
         self.tree = tree
         self.ledger = ledger
         self.virtual_vertices = virtual
-        self.core = core
         #: Completed tree traversals (convergecasts + broadcasts).  Each
         #: traversal costs one tree depth of TDMA slots, so the runner
         #: derives per-round latency from the delta of this counter — the
@@ -226,44 +254,12 @@ class TreeNetwork:
         #: fault experiments feed these to the root-side watchdog; long
         #: reliable runs may :meth:`list.clear` it between rounds.
         self.collection_log: list[CollectionRecord] = []
-        #: Whether convergecasts must track per-hop payload provenance.
-        #: Reliable networks deliver every contribution, so the base class
-        #: skips the bookkeeping; fault-injecting subclasses enable it.
-        self._track_sources = False
-
-        cls = type(self)
-        hooks_overridden = (
-            cls._vertex_down is not TreeNetwork._vertex_down
-            or cls._hop_delivered is not TreeNetwork._hop_delivered
-        )
-        down_mask_consistent = (
-            cls._vertex_down is TreeNetwork._vertex_down
-            or cls._down_mask is not TreeNetwork._down_mask
-        )
-        vector = core == "vector"
-        #: Segmented convergecast is only sound while the reliable base
-        #: hooks are authoritative; fault-injecting subclasses provide
-        #: their own batched walk (FaultyTreeNetwork.convergecast) or
-        #: fall back to the per-hop loop, whose charges still flush as
-        #: one batch.
-        self._vector_convergecast = vector and not hooks_overridden
-        self._vector_broadcast = vector and down_mask_consistent
-        #: Charge sink for the per-hop paths: the ledger itself on the
-        #: object core, an ordered :class:`ChargeLog` on the vector core.
-        self._charges: EnergyLedger | ChargeLog = (
-            ChargeLog(ledger) if vector else ledger
-        )
-        self._arrays: TreeArrays | None = None
-        self._order_no_root: tuple[int, ...] = ()
-        self._send_cpb: float = 0.0
-        self._send_cpb_array: np.ndarray | None = None
         self._virtual_mask: np.ndarray | None = None
-        if vector:
-            if virtual:
-                mask = np.zeros(tree.num_vertices, dtype=bool)
-                mask[list(virtual)] = True
-                self._virtual_mask = mask
-            self._refresh_cached_arrays()
+        if virtual:
+            mask = np.zeros(tree.num_vertices, dtype=bool)
+            mask[list(virtual)] = True
+            self._virtual_mask = mask
+        self._refresh_cached_arrays()
 
     @property
     def num_sensor_nodes(self) -> int:
@@ -272,18 +268,17 @@ class TreeNetwork:
 
     def _refresh_cached_arrays(self) -> None:
         """Rebuild the struct-of-arrays tree view after a tree swap."""
-        if self.core != "vector":
-            return
         tree = self.tree
         self._arrays = TreeArrays(tree)
         self._order_no_root = tree.bottom_up_order[:-1]
         model = self.ledger.model
+        self._send_cpb_array: np.ndarray | None = None
+        self._send_cpb = 0.0
         if model.per_link_distance:
             self._send_cpb_array = send_cost_per_bit_array(
                 model, self.ledger.radio_range, tree.link_distance
             )
         else:
-            self._send_cpb_array = None
             self._send_cpb = model.send_cost_per_bit(self.ledger.radio_range)
 
     def retarget(self, tree: RoutingTree, *, allow_reroot: bool = False) -> None:
@@ -314,413 +309,261 @@ class TreeNetwork:
         self.tree = tree
         self._refresh_cached_arrays()
 
-    # -- fault-injection hooks ------------------------------------------------
-    #
-    # The base class is a perfectly reliable network; these hooks are the
-    # single seam through which ``repro.faults.FaultyTreeNetwork`` injects
-    # link loss, node death and per-hop ARQ.  Both primitives below route
-    # every radio interaction through them, so *any* algorithm written
-    # against TreeNetwork runs under faults unchanged.
-
-    def _vertex_down(self, vertex: int) -> bool:
-        """True when ``vertex`` is permanently dead (churn).  Never the root."""
-        return False
+    # -- fault seams ----------------------------------------------------------
 
     def _down_mask(self) -> np.ndarray | None:
-        """Per-vertex boolean view of :meth:`_vertex_down` (``None`` = all up).
+        """Per-vertex "out of service" mask (``None``: everybody is up).
 
-        The vectorized broadcast consumes the mask instead of n scalar
-        hook calls.  A subclass overriding :meth:`_vertex_down` must keep
-        this consistent — if it does not override the mask, the constructor
-        detects the mismatch and broadcasts take the object path.
+        A down vertex contributes nothing, forwards nothing and neither
+        relays nor hears a broadcast.  The reliable network has none.
         """
         return None
 
-    def _hop_delivered(self, vertex: int, parent: int, payload: "Payload") -> tuple[bool, int]:
-        """Transmit one merged payload over the ``vertex -> parent`` link.
+    def _decide_hops(self, present: np.ndarray, down: np.ndarray | None) -> Hops:
+        """Decide stage of the reliable radio: every holder sends, once.
 
-        Charges all radio activity for the hop to the charge sink (the
-        ledger, or the vector core's ordered batch) and returns
-        ``(delivered, bits_on_air)``.  The reliable base implementation is
-        one send + one receive and always delivers.
+        ``present`` marks the live contributors; nothing is down here.  A
+        vertex holds data iff its subtree holds a contribution.
         """
-        cost = message_bits(payload.payload_bits())
-        self._charges.charge_send(
-            vertex,
-            cost,
-            values=payload.num_values(),
-            link_distance=self.tree.link_distance[vertex],
-        )
-        self._charges.charge_recv(parent, cost)
-        return True, cost.total_bits
+        arrays = self._arrays
+        holds = arrays.subtree_sums(present) > 0
+        order = arrays.bottom_up_no_root
+        walk = order[holds[order]]
+        senders = walk
+        if self._virtual_mask is not None:
+            senders = walk[~self._virtual_mask[walk]]
+        return Hops(walk=walk, delivered=None, senders=senders)
 
-    def convergecast(
-        self, contributions: Mapping[int, P]
-    ) -> Optional[P]:
+    # -- convergecast -----------------------------------------------------------
+
+    def convergecast(self, contributions: Mapping[int, P]) -> Optional[P]:
         """Aggregate payloads leaf-to-root; return the merged root payload.
 
         Args:
             contributions: per-vertex local payloads.  Vertices absent from
-                the mapping (and vertices whose merged payload reports
-                ``is_empty()``) stay silent unless they must forward a
-                child's data.  A contribution keyed by the root itself is
-                merged into the result without radio cost.
+                the mapping (and payloads reporting ``is_empty()``) stay
+                silent unless they must forward a child's data.  A
+                contribution keyed by the root itself is merged into the
+                result without radio cost.
 
         Returns:
-            The payload as seen by the root, or ``None`` if nobody sent
-            anything.
+            The payload as seen by the root, or ``None`` if nothing
+            reached it.
         """
-        if self._vector_convergecast and not self._track_sources:
-            return self._convergecast_vector(contributions)
-        tree = self.tree
         self.exchanges += 1
-        accumulated: dict[int, P] = {}
-        expected = 0
-        contributors: list[int] = []
-        sources: dict[int, set[int]] = {}
-        for vertex, payload in contributions.items():
-            if payload.is_empty():
-                continue
-            expected += 1
-            if self._vertex_down(vertex):
-                continue  # a dead node measures and transmits nothing
-            accumulated[vertex] = payload
-            contributors.append(vertex)
-            if self._track_sources:
-                sources[vertex] = {vertex}
 
-        phase_total = 0
-        for vertex in tree.bottom_up_order:
-            if vertex == tree.root:
-                continue
-            merged = accumulated.get(vertex)
-            if merged is None:
-                continue
-            if self._vertex_down(vertex):
-                continue  # forwarded state dies with the forwarding node
-            parent = tree.parent[vertex]
-            if vertex in self.virtual_vertices:
-                delivered = True  # device-internal link, no radio
-            else:
-                delivered, bits = self._hop_delivered(vertex, parent, merged)
-                phase_total += bits
-            if not delivered:
-                continue
-            existing = accumulated.get(parent)
-            accumulated[parent] = (
-                merged if existing is None else existing.merged_with(merged)
-            )
-            if self._track_sources:
-                sources.setdefault(parent, set()).update(sources.get(vertex, ()))
-        charges = self._charges
-        if charges is not self.ledger:
-            charges.flush()
-        self.phase_bits[self.phase] = (
-            self.phase_bits.get(self.phase, 0) + phase_total
-        )
-        if self._track_sources:
-            delivered_sources = frozenset(sources.get(tree.root, set()))
+        # 1. Intake.  ``vertices`` stays the mapping itself while nothing is
+        # dropped: its keys convert to arrays and sets fastest.
+        vertices: Mapping[int, P] | list[int] = contributions
+        payloads = list(contributions.values())
+        uniform: type | None = None
+        if payloads:
+            first = type(payloads[0])
+            if issubclass(first, UniformPayload) and set(map(type, payloads)) == {
+                first
+            }:
+                uniform = first
+        if uniform is None or uniform.uniform_leaf_values is None:
+            keep = [not payload.is_empty() for payload in payloads]
+            if not all(keep):
+                vertices = list(compress(contributions, keep))
+                payloads = list(compress(payloads, keep))
+        expected = len(payloads)
+        n = self.tree.num_vertices
+        down = self._down_mask()
+        live_idx = np.fromiter(vertices, dtype=np.int64, count=expected)
+        if down is not None and expected:
+            live = ~down[live_idx]
+            if not live.all():
+                live_idx = live_idx[live]
+                keep = live.tolist()
+                vertices = list(compress(vertices, keep))
+                payloads = list(compress(payloads, keep))
+
+        # 2. Decide.
+        if payloads:
+            present = np.zeros(n, dtype=bool)
+            present[live_idx] = True
+            hops = self._decide_hops(present, down)
         else:
-            # Reliable delivery: every live contribution reaches the root.
-            delivered_sources = frozenset(contributors)
-        self.collection_log.append(
-            CollectionRecord(expected=expected, delivered=delivered_sources)
-        )
-        return accumulated.get(tree.root)
+            empty = np.zeros(0, dtype=np.int64)
+            hops = Hops(walk=empty, delivered=None, senders=empty)
 
-    # -- vectorized convergecast ---------------------------------------------
-
-    def _convergecast_vector(self, contributions: Mapping[int, P]) -> Optional[P]:
-        """Reliable-network convergecast on the struct-of-arrays core."""
-        self.exchanges += 1
-        count = len(contributions)
-        if count:
-            first = next(iter(contributions.values()))
-            cls_p = type(first)
-            if (
-                isinstance(first, UniformPayload)
-                and cls_p.uniform_leaf_values is not None
-                and cls_p.is_empty is Payload.is_empty
-            ):
-                # Constant-time-per-payload intake: nothing can be empty,
-                # the values statistic is a class constant, so contributor
-                # ids come straight off the mapping at C speed.
-                payloads = list(contributions.values())
-                if set(map(type, payloads)) == {cls_p}:
-                    contributor_idx = np.fromiter(
-                        contributions.keys(), dtype=np.int64, count=count
-                    )
-                    return self._convergecast_vector_uniform(
-                        cls_p,
-                        contributor_idx,
-                        frozenset(contributions),
-                        payloads,
-                        cls_p.uniform_leaf_values,
-                    )
-        contributors: list[int] = []
-        payloads = []
-        for vertex, payload in contributions.items():
-            if payload.is_empty():
-                continue
-            contributors.append(vertex)
-            payloads.append(payload)
-        if not payloads:
-            self.phase_bits[self.phase] = self.phase_bits.get(self.phase, 0)
-            self.collection_log.append(
-                CollectionRecord(expected=0, delivered=frozenset())
-            )
-            return None
-        first = payloads[0]
-        if isinstance(first, UniformPayload):
-            cls_p = type(first)
-            if all(type(p) is cls_p for p in payloads):
-                leaf = cls_p.uniform_leaf_values
-                counts = (
-                    leaf
-                    if leaf is not None
-                    else np.fromiter(
-                        (p.num_values() for p in payloads),
-                        dtype=np.int64,
-                        count=len(payloads),
-                    )
-                )
-                return self._convergecast_vector_uniform(
-                    cls_p,
-                    np.array(contributors, dtype=np.int64),
-                    frozenset(contributors),
-                    payloads,
-                    counts,
-                )
-        return self._convergecast_vector_objects(contributors, payloads)
-
-    def _convergecast_vector_objects(
-        self, contributors: list[int], payloads: list[P]
-    ) -> Optional[P]:
-        """Per-object merge with batched accounting (any Payload class)."""
-        tree = self.tree
-        accumulated: list[Optional[P]] = [None] * tree.num_vertices
-        for vertex, payload in zip(contributors, payloads):
-            accumulated[vertex] = payload
-        parent = tree.parent
-        virtual = self.virtual_vertices
-        send_vertices: list[int] = []
-        send_payload_bits: list[int] = []
-        send_values: list[int] = []
-        append_vertex = send_vertices.append
-        append_bits = send_payload_bits.append
-        append_values = send_values.append
-        if virtual:
-            for vertex in self._order_no_root:
-                merged = accumulated[vertex]
-                if merged is None:
-                    continue
-                par = parent[vertex]
-                if vertex not in virtual:
-                    append_vertex(vertex)
-                    append_bits(merged.payload_bits())
-                    append_values(merged.num_values())
-                existing = accumulated[par]
-                accumulated[par] = (
-                    merged if existing is None else existing.merged_with(merged)
-                )
-        else:
-            for vertex in self._order_no_root:
-                merged = accumulated[vertex]
-                if merged is None:
-                    continue
-                par = parent[vertex]
-                append_vertex(vertex)
-                append_bits(merged.payload_bits())
-                append_values(merged.num_values())
-                existing = accumulated[par]
-                accumulated[par] = (
-                    merged if existing is None else existing.merged_with(merged)
-                )
-        phase_total = self._charge_convergecast_sends(
-            send_vertices, send_payload_bits, send_values
-        )
-        self.phase_bits[self.phase] = (
-            self.phase_bits.get(self.phase, 0) + phase_total
-        )
-        self.collection_log.append(
-            CollectionRecord(
-                expected=len(contributors), delivered=frozenset(contributors)
-            )
-        )
-        return accumulated[tree.root]
-
-    def _convergecast_vector_uniform(
-        self,
-        cls_p: type,
-        contributor_idx: np.ndarray,
-        delivered: frozenset[int],
-        payloads: list[P],
-        leaf_counts: "int | np.ndarray",
-    ) -> Optional[P]:
-        """Segmented convergecast: no per-hop objects at all.
-
-        Valid under the :class:`UniformPayload` contract — subtree
-        occupancy decides who transmits, subtree value sums price the
-        ``values_sent`` statistic, and the payload size is a class
-        constant, so the whole traversal folds one topological level at a
-        time.  ``leaf_counts`` is each contributor's ``num_values()`` — a
-        single int when the class pins ``uniform_leaf_values``.
-        """
+        # 3. Fold.
         arrays = self._arrays
-        assert arrays is not None
-        n = arrays.num_vertices
-        occupancy = np.zeros(n, dtype=np.int64)
-        occupancy[contributor_idx] = 1
-        values = np.zeros(n, dtype=np.int64)
-        values[contributor_idx] = leaf_counts
-        parent = arrays.parent
-        for level in reversed(arrays.levels[1:]):  # deepest level first
-            parents_of_level = parent[level]
-            np.add.at(occupancy, parents_of_level, occupancy[level])
-            np.add.at(values, parents_of_level, values[level])
-        order = arrays.bottom_up_no_root
-        transmit = occupancy[order] > 0
-        if self._virtual_mask is not None:
-            transmit &= ~self._virtual_mask[order]
-        senders = order[transmit]
-        phase_total = 0
-        if len(senders):
-            cost = message_bits(cls_p.uniform_bits)
-            receivers = parent[senders]
-            m = len(senders)
-            if self._send_cpb_array is not None:
-                send_joules = cost.total_bits * self._send_cpb_array[senders]
-            else:
-                send_joules = np.full(m, cost.total_bits * self._send_cpb)
-            recv_joule = cost.total_bits * self.ledger.model.recv_cost
-            energy_vertices = np.empty(2 * m, dtype=np.int64)
-            energy_vertices[0::2] = senders
-            energy_vertices[1::2] = receivers
-            energy_joules = np.empty(2 * m, dtype=np.float64)
-            energy_joules[0::2] = send_joules
-            energy_joules[1::2] = recv_joule
-            uniform_frames = np.full(m, cost.messages, dtype=np.int64)
-            uniform_bits = np.full(m, cost.total_bits, dtype=np.int64)
-            self.ledger.charge_batch(
-                energy_vertices=energy_vertices,
-                energy_joules=energy_joules,
-                send_vertices=senders,
-                send_messages=uniform_frames,
-                send_bits=uniform_bits,
-                send_values=values[senders],
-                recv_vertices=receivers,
-                recv_messages=uniform_frames,
-                recv_bits=uniform_bits,
+        answer: Optional[P] = None
+        edge_ok: np.ndarray | None = None
+        if hops.delivered is not None:
+            edge_ok = np.zeros(n, dtype=bool)
+            edge_ok[hops.walk[np.array(hops.delivered, dtype=bool)]] = True
+        if uniform is not None:
+            leaf = uniform.uniform_leaf_values
+            counts = np.zeros(n, dtype=np.int64)
+            counts[live_idx] = (
+                leaf
+                if leaf is not None
+                else np.fromiter(
+                    (p.num_values() for p in payloads),
+                    dtype=np.int64,
+                    count=len(payloads),
+                )
             )
-            phase_total = cost.total_bits * m
+            if edge_ok is None:
+                counts = arrays.subtree_sums(counts)
+            else:
+                parent = arrays.parent
+                for level in reversed(arrays.levels[1:]):  # deepest first
+                    level = level[edge_ok[level]]
+                    np.add.at(counts, parent[level], counts[level])
+            hop_values = counts[hops.senders]
+            hop_bits = uniform.uniform_bits
+        else:
+            answer, hop_bits, hop_values = self._fold_objects(
+                vertices, payloads, hops
+            )
+
+        # 4. Account.
+        phase_total = self._charge_hops(hops, hop_bits, hop_values)
         self.phase_bits[self.phase] = (
             self.phase_bits.get(self.phase, 0) + phase_total
         )
+        if edge_ok is None:
+            delivered = vertices
+        else:
+            path_ok = np.zeros(n, dtype=bool)
+            path_ok[self.tree.root] = True
+            parent = arrays.parent
+            for level in arrays.levels[1:]:
+                path_ok[level] = path_ok[parent[level]] & edge_ok[level]
+            # Keep the caller's vertex objects: the log holds them for good.
+            reached = path_ok[live_idx].tolist()
+            delivered = list(compress(vertices, reached))
+            if uniform is not None:
+                payloads = list(compress(payloads, reached))
         self.collection_log.append(
-            CollectionRecord(expected=len(payloads), delivered=delivered)
+            CollectionRecord(expected=expected, delivered=frozenset(delivered))
         )
-        return cls_p.vector_reduce(payloads)
+        if uniform is not None:
+            return uniform.vector_reduce(payloads) if payloads else None
+        return answer
 
-    def _charge_convergecast_sends(
-        self,
-        send_vertices: list[int],
-        send_payload_bits: list[int],
-        send_values: list[int],
+    def _fold_objects(
+        self, vertices: list[int], payloads: list[P], hops: Hops
+    ) -> tuple[Optional[P], np.ndarray, np.ndarray]:
+        """Per-object fold along the delivered edges, in walk order.
+
+        Returns the root payload and each radio hop's payload size and
+        value count (the sizes the account stage charges).
+        """
+        accumulated: list[Optional[P]] = [None] * self.tree.num_vertices
+        for vertex, payload in zip(vertices, payloads):
+            accumulated[vertex] = payload
+        parent = self.tree.parent
+        sizes: list[int] = []
+        values: list[int] = []
+        size_of = sizes.append
+        values_of = values.append
+        walk = hops.walk.tolist()
+        delivered = repeat(True) if hops.delivered is None else hops.delivered
+        for vertex, ok in zip(walk, delivered):
+            merged = accumulated[vertex]
+            size_of(merged.payload_bits())
+            values_of(merged.num_values())
+            if ok:
+                par = parent[vertex]
+                existing = accumulated[par]
+                accumulated[par] = (
+                    merged if existing is None else existing.merged_with(merged)
+                )
+        hop_bits = np.array(sizes, dtype=np.int64)
+        hop_values = np.array(values, dtype=np.int64)
+        if self._virtual_mask is not None and len(walk):
+            radio = ~self._virtual_mask[hops.walk]
+            hop_bits = hop_bits[radio]
+            hop_values = hop_values[radio]
+        return accumulated[self.tree.root], hop_bits, hop_values
+
+    def _charge_hops(
+        self, hops: Hops, payload_bits: "int | np.ndarray", values: np.ndarray
     ) -> int:
-        """Batch-charge one convergecast's hops; returns total on-air bits.
+        """Charge every attempt of every hop in one batch; returns on-air bits.
 
-        The hop sequence arrives in bottom-up order, so interleaving each
-        send with its matching receive reproduces the scalar core's exact
-        per-vertex float-addition order.
+        ``payload_bits`` is per hop, or one size shared by every hop.
         """
-        if not send_vertices:
-            return 0
-        arrays = self._arrays
-        assert arrays is not None
-        senders = np.array(send_vertices, dtype=np.int64)
-        payload_bits = np.array(send_payload_bits, dtype=np.int64)
-        frames = np.where(
-            payload_bits > 0, -(-payload_bits // MAX_PAYLOAD_BITS), 1
-        )
-        total_bits = frames * HEADER_BITS + payload_bits
-        receivers = arrays.parent[senders]
-        if self._send_cpb_array is not None:
-            send_joules = total_bits * self._send_cpb_array[senders]
-        else:
-            send_joules = total_bits * self._send_cpb
-        recv_joules = total_bits * self.ledger.model.recv_cost
+        senders = hops.senders
         m = len(senders)
-        energy_vertices = np.empty(2 * m, dtype=np.int64)
-        energy_vertices[0::2] = senders
-        energy_vertices[1::2] = receivers
-        energy_joules = np.empty(2 * m, dtype=np.float64)
-        energy_joules[0::2] = send_joules
-        energy_joules[1::2] = recv_joules
-        self.ledger.charge_batch(
-            energy_vertices=energy_vertices,
-            energy_joules=energy_joules,
-            send_vertices=senders,
-            send_messages=frames,
-            send_bits=total_bits,
-            send_values=np.array(send_values, dtype=np.int64),
-            recv_vertices=receivers,
-            recv_messages=frames,
-            recv_bits=total_bits,
+        if not m:
+            return 0
+        if np.ndim(payload_bits) == 0:
+            cost = message_bits(int(payload_bits))
+            frames = np.full(m, cost.messages, dtype=np.int64)
+            total_bits = np.full(m, cost.total_bits, dtype=np.int64)
+        else:
+            frames = np.where(
+                payload_bits > 0, -(-payload_bits // MAX_PAYLOAD_BITS), 1
+            )
+            total_bits = frames * HEADER_BITS + payload_bits
+        receivers = self._arrays.parent[senders]
+        parent_up = hops.parent_up
+        if parent_up is None:
+            parent_up = np.ones(m, dtype=bool)
+        frame_ok = hops.frame_ok
+        if hops.attempts is not None:
+            hop_index = np.repeat(np.arange(m), hops.attempts)
+            senders = senders[hop_index]
+            receivers = receivers[hop_index]
+            total_bits = total_bits[hop_index]
+            frames = frames[hop_index]
+            values = values[hop_index]
+            parent_up = parent_up[hop_index]
+        if frame_ok is None:
+            frame_ok = np.ones(len(senders), dtype=bool)
+        send_cpb = (
+            self._send_cpb_array[senders]
+            if self._send_cpb_array is not None
+            else self._send_cpb
         )
-        return int(total_bits.sum())
+        self.ledger.charge_batch(
+            **expand_arq_charges(
+                senders,
+                receivers,
+                total_bits,
+                frames,
+                values,
+                parent_up,
+                frame_ok,
+                hops.arq,
+                send_cpb,
+                self.ledger.model.recv_cost,
+                ACK_FRAME_BITS,
+            )
+        )
+        phase_total = int(total_bits.sum())
+        if hops.arq:
+            phase_total += ACK_FRAME_BITS * int(frame_ok.sum())
+        return phase_total
+
+    # -- broadcast ----------------------------------------------------------------
 
     def broadcast(self, payload_bits: int) -> int:
         """Flood ``payload_bits`` of payload from the root to every node.
 
         Each internal vertex (root included) transmits once; each non-root
         vertex receives once from its parent.  Downstream link loss is
-        assumed to be masked by flooding redundancy, but a dead internal
-        vertex cannot retransmit, so its whole subtree misses the flood.
+        assumed to be masked by flooding redundancy, but a down internal
+        vertex cannot retransmit, so its whole subtree misses the flood,
+        and a down vertex neither listens nor pays.
 
         Returns the number of non-root vertices the flood reached (on a
         reliable, churn-free network: all of them).
         """
         if payload_bits < 0:
             raise ProtocolError(f"payload_bits must be >= 0, got {payload_bits}")
-        if self._vector_broadcast:
-            return self._broadcast_vector(payload_bits)
-        tree = self.tree
-        self.exchanges += 1
-        cost = message_bits(payload_bits)
-        phase_total = 0
-        reached = [False] * tree.num_vertices
-        reached[tree.root] = True
-        reached_count = 0
-        for vertex in tree.top_down_order:
-            if not reached[vertex] or not tree.children[vertex]:
-                continue
-            if vertex != tree.root and self._vertex_down(vertex):
-                continue  # pruned by churn: the subtree misses the flood
-            self.ledger.charge_send(
-                vertex, cost, link_distance=tree.link_distance[vertex]
-            )
-            phase_total += cost.total_bits
-            for child in tree.children[vertex]:
-                if self._vertex_down(child):
-                    continue  # dead receivers neither listen nor pay
-                reached[child] = True
-                reached_count += 1
-                if child not in self.virtual_vertices:
-                    self.ledger.charge_recv(child, cost)
-        self.phase_bits[self.phase] = (
-            self.phase_bits.get(self.phase, 0) + phase_total
-        )
-        return reached_count
-
-    def _broadcast_vector(self, payload_bits: int) -> int:
-        """Flood on the struct-of-arrays core: level sweeps + one batch."""
         arrays = self._arrays
-        assert arrays is not None
-        tree = self.tree
+        root = self.tree.root
         self.exchanges += 1
         cost = message_bits(payload_bits)
         n = arrays.num_vertices
-        root = tree.root
         down = self._down_mask()
         if down is None:
             senders_mask = arrays.has_children
@@ -756,8 +599,8 @@ class TreeNetwork:
                 len(senders), cost.total_bits * self._send_cpb
             )
         # A vertex receives from its parent before it retransmits, so the
-        # receive batch is applied first to preserve the scalar core's
-        # per-vertex float-addition order.
+        # receive batch is applied first to preserve the per-vertex
+        # float-addition order of a hop-by-hop flood.
         energy_vertices = np.concatenate([receivers, senders])
         energy_joules = np.concatenate(
             [np.full(len(receivers), recv_joule), send_joules]

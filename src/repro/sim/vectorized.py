@@ -1,14 +1,15 @@
-"""Struct-of-arrays building blocks for the vectorized simulation core.
+"""Struct-of-arrays building blocks for the simulation engine.
 
-The object engine (:mod:`repro.sim.engine`) walks one Python object per
-vertex and charges the energy ledger one scalar numpy update at a time —
-fine at 30 nodes, ruinous at 30k.  This module holds the three pieces that
-turn a round into a handful of segmented array operations:
+Walking one Python object per vertex and charging the energy ledger one
+scalar numpy update at a time is fine at 30 nodes, ruinous at 30k.  This
+module holds the pieces that turn a round of :mod:`repro.sim.engine` into
+a handful of segmented array operations:
 
 * :class:`TreeArrays` — a per-vertex array view of a
   :class:`~repro.network.tree.RoutingTree` (parent, depth, topological
-  levels, bottom-up order, children mask, link lengths).  Built once per
-  tree and reused every round; :meth:`TreeNetwork.retarget` rebuilds it.
+  levels, bottom-up order, children mask, depth-first subtree spans).
+  Built once per tree and reused every round;
+  :meth:`TreeNetwork.retarget` rebuilds it.
 
 * :class:`ChargeLog` — an ordered recorder with the
   ``charge_send``/``charge_recv`` signature of
@@ -22,12 +23,8 @@ turn a round into a handful of segmented array operations:
   ``charge_recv_many`` record a run of equal-cost charges in one call
   (tree repair's probe replies and membership reports).
 
-The opt-in contract for the fully segmented convergecast path —
-:class:`~repro.sim.engine.UniformPayload` — lives next to the base
-:class:`~repro.sim.engine.Payload` contract in the engine module, so this
-module stays free of engine imports.  Payload state under that contract
-never travels as objects at all; subtree occupancy and value counts are
-per-vertex arrays folded one topological level at a time.
+* :func:`expand_arq_charges` — every attempt of every convergecast hop as
+  one ordered charge batch (the engine's account stage).
 
 The engine keeps its object API on top of these (see ``DESIGN.md``,
 "Vectorized simulation core"); algorithms never see this module.
@@ -53,8 +50,6 @@ class TreeArrays:
         root: the sink vertex.
         parent: ``int64`` parent index per vertex (root maps to itself so
             fancy indexing never walks out of bounds; the root never sends).
-        depth: hop distance from the root per vertex.
-        link_distance: ``float64`` uplink length per vertex.
         levels: index arrays grouping vertices by depth, ``levels[0]`` being
             ``[root]``.  Broadcasts sweep them top-down, the segmented
             convergecast sweeps them bottom-up.
@@ -67,11 +62,12 @@ class TreeArrays:
         "num_vertices",
         "root",
         "parent",
-        "depth",
-        "link_distance",
         "levels",
         "bottom_up_no_root",
         "has_children",
+        "_children",
+        "_subtree_size",
+        "_span",
     )
 
     def __init__(self, tree: "RoutingTree") -> None:
@@ -81,12 +77,9 @@ class TreeArrays:
         parent = np.array(tree.parent, dtype=np.int64)
         parent[tree.root] = tree.root
         self.parent = parent
-        self.depth = np.array(tree.depth, dtype=np.int64)
-        self.link_distance = np.array(tree.link_distance, dtype=np.float64)
-        order = np.argsort(self.depth, kind="stable")
-        boundaries = np.searchsorted(
-            self.depth[order], np.arange(int(self.depth.max()) + 2)
-        )
+        depth = np.array(tree.depth, dtype=np.int64)
+        order = np.argsort(depth, kind="stable")
+        boundaries = np.searchsorted(depth[order], np.arange(int(depth.max()) + 2))
         self.levels = [
             order[boundaries[d] : boundaries[d + 1]]
             for d in range(len(boundaries) - 1)
@@ -99,6 +92,35 @@ class TreeArrays:
         self.has_children = np.array(
             [len(kids) > 0 for kids in tree.children], dtype=bool
         )
+        self._children = tree.children
+        self._subtree_size = tree.subtree_size
+        #: Depth-first layout, built on first use: (order, first, end).
+        self._span: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+
+    def subtree_sums(self, values: np.ndarray) -> np.ndarray:
+        """Per-vertex sum of ``values`` over its subtree (itself included).
+
+        A depth-first order lays every subtree out as one contiguous run,
+        so each sum is the difference of two prefix sums: a few array
+        operations whatever the depth, exact for integer (or boolean)
+        values.
+        """
+        if self._span is None:
+            order: list[int] = []
+            stack = [self.root]
+            while stack:
+                vertex = stack.pop()
+                order.append(vertex)
+                stack.extend(self._children[vertex])
+            preorder = np.array(order, dtype=np.int64)
+            first = np.empty(self.num_vertices, dtype=np.int64)
+            first[preorder] = np.arange(self.num_vertices)
+            end = first + np.array(self._subtree_size, dtype=np.int64)
+            self._span = (preorder, first, end)
+        preorder, first, end = self._span
+        prefix = np.zeros(self.num_vertices + 1, dtype=np.int64)
+        np.cumsum(values[preorder], out=prefix[1:])
+        return prefix[end] - prefix[first]
 
 
 def send_cost_per_bit_array(
@@ -134,30 +156,47 @@ def expand_arq_charges(
     """Expand per-attempt ARQ outcomes into one ordered charge batch.
 
     Input arrays are flat per *data-frame attempt*, ordered by hop then
-    attempt — the exact order the scalar faulty walk issues charges in.
-    Each attempt expands to up to four energy events, in the scalar
-    sequence of ``FaultyTreeNetwork._hop_delivered``:
+    attempt — the order a hop-by-hop walk issues charges in.  Each attempt
+    expands to up to four energy events, in stop-and-wait order:
 
     1. child data send — always;
     2. parent data receive — iff the parent is up;
     3. parent ACK send — iff ARQ is enabled and the frame survived
-       (charged at the *child's* uplink distance, like the scalar path);
+       (charged at the *child's* uplink distance);
     4. child ACK-window receive — iff ARQ is enabled (a real ACK receive
        or the vain listen after a lost frame, same cost either way).
 
-    Joules are per-event products of integer bit counts with the same
-    J/bit factors the scalar ledger uses (``send_cpb`` is a per-attempt
-    array or a scalar for distance-independent models), so a ledger fed
-    the returned ``charge_batch`` kwargs accumulates every per-vertex
-    float in scalar order, bit for bit.  The integer traffic counters are
-    order-independent and returned pre-split by direction.
+    Joules are integer bit counts times the scalar ledger's J/bit factors
+    (``send_cpb``: per attempt, or one scalar), so the returned
+    ``charge_batch`` kwargs accumulate every per-vertex float in scalar
+    order, bit for bit; the order-free traffic counters come pre-split by
+    direction.
     """
     n = att_child.shape[0]
-    if np.ndim(send_cpb) == 0:
-        send_cpb = np.full(n, float(send_cpb))
     data_send_j = att_bits * send_cpb
     data_recv_j = att_bits * recv_cpb
     up = att_parent_up
+    if not arq_enabled and up.all():
+        # One send and one receive per attempt: interleave.
+        energy_vertices = np.empty(2 * n, dtype=np.int64)
+        energy_vertices[0::2] = att_child
+        energy_vertices[1::2] = att_parent
+        energy_joules = np.empty(2 * n, dtype=np.float64)
+        energy_joules[0::2] = data_send_j
+        energy_joules[1::2] = data_recv_j
+        return {
+            "energy_vertices": energy_vertices,
+            "energy_joules": energy_joules,
+            "send_vertices": att_child,
+            "send_messages": att_frames,
+            "send_bits": att_bits,
+            "send_values": att_values,
+            "recv_vertices": att_parent,
+            "recv_messages": att_frames,
+            "recv_bits": att_bits,
+        }
+    if np.ndim(send_cpb) == 0:
+        send_cpb = np.full(n, float(send_cpb))
     up_i = up.astype(np.int64)
     if arq_enabled:
         ok = att_frame_ok
@@ -230,11 +269,11 @@ def expand_arq_charges(
 class ChargeLog:
     """Ordered radio-charge recorder, flushed as one ledger batch.
 
-    Presents the ledger's ``charge_send``/``charge_recv`` signature so the
-    fault hooks write through it unchanged; the per-charge joules are
-    computed immediately with the scalar ledger's own arithmetic, only the
-    array updates are deferred.  ``flush()`` must run before anything reads
-    the ledger — the engine flushes at the end of every primitive.
+    Presents the ledger's ``charge_send``/``charge_recv`` signature, so
+    code written against the ledger (tree repair) records through it
+    unchanged; the per-charge joules are computed immediately with the
+    scalar ledger's own arithmetic, only the array updates are deferred.
+    ``flush()`` must run before anything reads the ledger.
 
     ``charge_send_many``/``charge_recv_many`` record a whole run of
     same-cost charges at once, so callers that issue hundreds of identical

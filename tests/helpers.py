@@ -35,6 +35,8 @@ from repro.sim.engine import TreeNetwork
 from repro.sim.oracle import exact_quantile, quantile_rank, rank_error
 from repro.types import QuerySpec, RoundOutcome
 
+from tests.engine_reference import use_reference
+
 
 def drive(
     algorithm: ContinuousQuantileAlgorithm,
@@ -122,9 +124,11 @@ def assert_differential_invariant(
     ``repair_metric`` selects the orphan-adoption ranking under test;
     ``heal_patience`` lets parked orphans wait that many rounds for a heal
     before the re-init fallback (the near-total-churn axis exercises it);
-    ``core`` pins the simulation core (``"object"``/``"vector"``) so the
-    same invariant can be asserted against either implementation — the
-    cross-core fuzz axis in ``tests/test_vectorized.py`` runs both.
+    ``core="object"`` runs the driver's network through the per-hop
+    reference walk (``tests/engine_reference.py``) instead of the
+    production pipeline, so the same invariant can be asserted against
+    either implementation — the cross-core fuzz axis in
+    ``tests/test_vectorized.py`` runs both.
 
     ``root_failover`` schedules the sink's death at that round on top of
     whatever the plan injects (RNG-safe: scheduled churn draws nothing),
@@ -156,9 +160,10 @@ def assert_differential_invariant(
             rotate_every=rotate_every,
             rotate_rng=np.random.default_rng(rotate_seed),
             heal_patience=heal_patience,
-            core=core,
             root_grace=root_grace,
         )
+        if core == "object":
+            use_reference(driver)
         reports = driver.run(len(rounds))
         algorithm = driver.algorithm
         trustworthy = 0

@@ -37,8 +37,14 @@ class TestParser:
             build_parser().parse_args(["sweep", "bogus"])
 
     def test_loss_rates_parsed(self):
-        args = build_parser().parse_args(["loss", "--rates", "0", "0.1"])
-        assert args.rates == [0.0, 0.1]
+        # The loss study is `faults --retries 0`; the old subcommand is gone.
+        args = build_parser().parse_args(
+            ["faults", "--loss", "0", "0.1", "--retries", "0"]
+        )
+        assert args.loss == [0.0, 0.1]
+        assert args.retries == [0]
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["loss", "--rates", "0", "0.1"])
 
     def test_faults_defaults(self):
         args = build_parser().parse_args(["faults"])
@@ -104,7 +110,8 @@ class TestCommands:
 
     def test_loss_prints_series(self, capsys):
         code = main(
-            ["loss", "--rates", "0", "--nodes", "40", "--rounds", "8"]
+            ["faults", "--loss", "0", "--retries", "0", "--nodes", "40",
+             "--rounds", "8"]
         )
         assert code == 0
         out = capsys.readouterr().out

@@ -8,6 +8,7 @@ import pytest
 from repro.core.payloads import ValueSetPayload
 from repro.errors import ConfigurationError
 from repro.faults import (
+    AdaptiveArqPolicy,
     ArqPolicy,
     FaultPlan,
     FaultyTreeNetwork,
@@ -140,6 +141,22 @@ class TestArqPolicy:
 
     def test_attempts(self):
         assert ArqPolicy(max_retries=2).max_attempts == 3
+
+    @pytest.mark.parametrize("policy", [ArqPolicy, AdaptiveArqPolicy])
+    @pytest.mark.parametrize("budget", [1.5, 2.0, True, False])
+    def test_rejects_non_integer_budget(self, policy, budget):
+        # A float budget never equals an attempt count, so the retry loop
+        # would not stop at it; a bool is not a budget either.
+        with pytest.raises(ConfigurationError):
+            policy(max_retries=budget)
+
+    def test_accepts_numpy_integer_budget(self):
+        assert ArqPolicy(max_retries=np.int64(2)).max_attempts == 3
+        assert AdaptiveArqPolicy(max_retries=np.int64(3)).max_attempts == 4
+
+    def test_budget_scope_is_declared(self):
+        assert not ArqPolicy.per_link_budget
+        assert AdaptiveArqPolicy.per_link_budget
 
 
 class TestFaultyNetworkArq:

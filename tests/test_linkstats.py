@@ -73,10 +73,9 @@ class TestEwma:
 class TestObserveBatch:
     """Batched feedback must be a literal ordered replay of ``observe``.
 
-    The vectorized faulty convergecast defers its per-hop channel outcomes
-    and folds them in one ``observe_batch`` call per phase; these pinned
-    regression values guarantee the batch path never drifts from the
-    scalar EWMA recurrence (order, insertion order, counters included).
+    These pinned regression values guarantee the batch path never drifts
+    from the scalar EWMA recurrence (order, insertion order, counters
+    included).
     """
 
     def test_pinned_regression_values(self):
@@ -239,3 +238,67 @@ class TestBurstTracking:
         assert np.mean(bad_estimates) > 0.5
         assert np.mean(good_estimates) < 0.25
         assert np.mean(bad_estimates) > np.mean(good_estimates) + 0.3
+
+
+class TestObserveHops:
+    """One convergecast's samples, folded as arrays == scalar ``observe``."""
+
+    @staticmethod
+    def random_hops(rng, hop_count, arq):
+        senders = rng.permutation(np.arange(1, 60))[:hop_count]
+        receivers = rng.integers(60, 70, size=hop_count)
+        attempts = rng.integers(1, 4 if arq else 2, size=hop_count)
+        parent_up = rng.random(hop_count) > 0.2
+        frame_ok = rng.random(int(attempts.sum())) > 0.4
+        offsets = np.concatenate(([0], np.cumsum(attempts)[:-1]))
+        for hop in np.flatnonzero(~parent_up):
+            frame_ok[offsets[hop]:offsets[hop] + attempts[hop]] = False
+        final_ack = (rng.random(hop_count) > 0.3).tolist()
+        return senders, receivers, attempts, frame_ok, parent_up, final_ack
+
+    @staticmethod
+    def scalar_replay(est, senders, receivers, attempts, frame_ok, parent_up,
+                      final_ack, arq):
+        position = 0
+        for hop, (child, parent) in enumerate(zip(senders, receivers)):
+            oks = frame_ok[position:position + attempts[hop]].tolist()
+            position += attempts[hop]
+            if parent_up[hop]:
+                for ok in oks:
+                    est.observe(int(child), int(parent), ok)
+            acked = sum(oks) if arq else 0
+            for k in range(acked):
+                last = k == acked - 1
+                est.observe(int(parent), int(child), last and final_ack[hop])
+
+    @pytest.mark.parametrize("arq", [False, True])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_scalar_replay_bit_for_bit(self, seed, arq):
+        rng = np.random.default_rng(seed)
+        scalar = LinkQualityEstimator(smoothing=0.3, prior_loss=0.08)
+        batched = LinkQualityEstimator(smoothing=0.3, prior_loss=0.08)
+        for _ in range(3):  # later rounds revisit links seen earlier
+            hops = self.random_hops(rng, 25, arq)
+            self.scalar_replay(scalar, *hops, arq)
+            senders, receivers, attempts, frame_ok, parent_up, final_ack = hops
+            batched.observe_hops(
+                senders,
+                receivers,
+                attempts=attempts,
+                frame_ok=frame_ok,
+                parent_up=parent_up,
+                final_ack=final_ack,
+                arq=arq,
+            )
+            assert list(scalar._loss.items()) == list(batched._loss.items())
+            assert scalar.observations == batched.observations
+
+    def test_defaults_are_one_delivered_attempt(self):
+        scalar = LinkQualityEstimator()
+        batched = LinkQualityEstimator()
+        for child, parent in ((3, 1), (4, 1), (1, 0)):
+            scalar.observe(child, parent, True)
+        batched.observe_hops(np.array([3, 4, 1]), np.array([1, 1, 0]))
+        assert list(scalar._loss.items()) == list(batched._loss.items())
+        batched.observe_hops(np.array([], dtype=np.int64), np.array([]))
+        assert batched.observations == 3

@@ -1,4 +1,10 @@
-"""Unit tests for the message-loss / rank-error extension."""
+"""Message loss without ARQ (the paper's Section 6 direction, E-ext2).
+
+The lossy tree network is a :class:`FaultyTreeNetwork` with an i.i.d.
+loss plan and ARQ off; the loss study is :func:`run_fault_experiment`
+with ``retry_budgets=(0,)``, its rank error measured by
+:func:`insertion_rank_error`.
+"""
 
 from __future__ import annotations
 
@@ -7,10 +13,12 @@ import pytest
 
 from repro.core.payloads import ValueSetPayload
 from repro.errors import ConfigurationError
-from repro.extensions.loss import (
-    LossyTreeNetwork,
-    _rank_error,
-    run_loss_experiment,
+from repro.faults import (
+    FaultPlan,
+    FaultyTreeNetwork,
+    IndependentLoss,
+    insertion_rank_error,
+    run_fault_experiment,
 )
 from repro.radio.energy import EnergyModel
 from repro.radio.ledger import EnergyLedger
@@ -18,7 +26,8 @@ from repro.radio.ledger import EnergyLedger
 
 def make_lossy(tree, loss, seed=0):
     ledger = EnergyLedger(tree.num_vertices, tree.root, EnergyModel(), 35.0)
-    return LossyTreeNetwork(tree, ledger, loss, np.random.default_rng(seed))
+    plan = FaultPlan(loss=IndependentLoss(loss), rng=np.random.default_rng(seed))
+    return FaultyTreeNetwork(tree, ledger, plan=plan)
 
 
 class TestLossyTreeNetwork:
@@ -72,34 +81,41 @@ class TestLossyTreeNetwork:
 class TestRankError:
     def test_exact_answer_has_zero_error(self):
         values = np.array([1, 2, 3, 4, 5])
-        assert _rank_error(values, 3, k=3) == 0
+        assert insertion_rank_error(values, 3, k=3) == 0
 
     def test_duplicates_span_ranks(self):
         values = np.array([1, 3, 3, 3, 5])
         for k in (2, 3, 4):
-            assert _rank_error(values, 3, k=k) == 0
-        assert _rank_error(values, 3, k=1) == 1
-        assert _rank_error(values, 3, k=5) == 1
+            assert insertion_rank_error(values, 3, k=k) == 0
+        assert insertion_rank_error(values, 3, k=1) == 1
+        assert insertion_rank_error(values, 3, k=5) == 1
 
     def test_absent_value_measured_by_insertion_rank(self):
         values = np.array([10, 20, 30, 40])
         # 25 would sit at rank 3; asking for k=1 gives error 2.
-        assert _rank_error(values, 25, k=1) == 2
-        assert _rank_error(values, 25, k=3) == 0
+        assert insertion_rank_error(values, 25, k=1) == 2
+        assert insertion_rank_error(values, 25, k=3) == 0
 
 
 class TestRunLossExperiment:
+    """E-ext2 through the fault study: i.i.d. loss, no retries."""
+
     def make(self, losses=(0.0, 0.15)):
         from repro.baselines.pos import POS
         from repro.baselines.tag import TAG
 
-        return run_loss_experiment(
+        return run_fault_experiment(
             {"TAG": TAG, "POS": POS},
-            loss_probabilities=losses,
+            loss_rates=losses,
+            retry_budgets=(0,),
             num_nodes=40,
             num_rounds=20,
             radio_range=60.0,
         )
+
+    @staticmethod
+    def series(result, name):
+        return [p for p in result.points if p.algorithm == name]
 
     def test_lossless_is_exact(self):
         result = self.make(losses=(0.0,))
@@ -111,11 +127,12 @@ class TestRunLossExperiment:
     def test_loss_degrades_exactness(self):
         result = self.make()
         for name in ("TAG", "POS"):
-            series = result.series(name)
+            series = self.series(result, name)
             assert series[0].exact_fraction >= series[-1].exact_fraction
             assert series[-1].mean_rank_error >= 0.0
 
     def test_series_sorted_by_loss(self):
         result = self.make()
-        series = result.series("TAG")
-        assert [p.loss_probability for p in series] == [0.0, 0.15]
+        series = self.series(result, "TAG")
+        assert [p.loss_rate for p in series] == [0.0, 0.15]
+        assert all(p.retries == 0 for p in series)

@@ -243,3 +243,68 @@ class TestCheckPerf:
             check(tmp_path / "fresh", tmp_path / "base", max_slowdown=0.05)
             == 1
         )
+
+
+def scaled_leaves(record, kind: str, factor: float):
+    """A copy of ``record`` with every ``kind`` metric multiplied by ``factor``."""
+    if isinstance(record, dict):
+        return {
+            key: (
+                value * factor
+                if metric_kind(str(key)) == kind
+                and isinstance(value, (int, float))
+                and not isinstance(value, bool)
+                else scaled_leaves(value, kind, factor)
+            )
+            for key, value in record.items()
+        }
+    if isinstance(record, list):
+        return [scaled_leaves(value, kind, factor) for value in record]
+    return record
+
+
+BASELINES = sorted(
+    (Path(__file__).parent.parent / "benchmarks" / "baselines").glob("BENCH_*.json")
+)
+
+
+class TestGateSelfTest:
+    """The gate, run on records derived from the committed baselines, must
+    still catch a 2x slowdown and a 50% memory growth at its thresholds."""
+
+    @pytest.mark.parametrize("baseline", BASELINES, ids=lambda p: p.stem)
+    def test_half_throughput_fails(self, tmp_path, baseline, capsys):
+        record = load_record(baseline)
+        write_record(tmp_path / "base", "gate", record)
+        write_record(
+            tmp_path / "fresh", "gate", scaled_leaves(record, "throughput", 0.5)
+        )
+        argv = ["--fresh", str(tmp_path / "fresh"), "--baselines",
+                str(tmp_path / "base"), "--repo-root", str(tmp_path)]
+        assert main(argv) == 1
+        assert "regressed" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("baseline", BASELINES, ids=lambda p: p.stem)
+    def test_rss_plus_half_fails(self, tmp_path, baseline, capsys):
+        record = load_record(baseline)
+        write_record(tmp_path / "base", "gate", record)
+        write_record(tmp_path / "fresh", "gate", scaled_leaves(record, "rss", 1.5))
+        argv = ["--fresh", str(tmp_path / "fresh"), "--baselines",
+                str(tmp_path / "base"), "--repo-root", str(tmp_path)]
+        assert main(argv) == 1
+        assert "grew" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("baseline", BASELINES, ids=lambda p: p.stem)
+    def test_unchanged_record_passes(self, tmp_path, baseline):
+        record = load_record(baseline)
+        write_record(tmp_path / "base", "gate", record)
+        write_record(tmp_path / "fresh", "gate", record)
+        argv = ["--fresh", str(tmp_path / "fresh"), "--baselines",
+                str(tmp_path / "base"), "--repo-root", str(tmp_path)]
+        assert main(argv) == 0
+
+    def test_baselines_carry_gated_metrics(self):
+        assert len(BASELINES) == 4
+        for baseline in BASELINES:
+            kinds = {metric_kind(p) for p in numeric_leaves(load_record(baseline))}
+            assert {"throughput", "rss"} <= kinds, baseline.name

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.experiments.config import default_algorithms
-from repro.extensions import FaultAwareRotatingRunner
 from repro.faults import (
     ArqPolicy,
     FaultDriver,
@@ -191,6 +190,44 @@ class TestRotationUnderFaults:
                 factory, SPEC, tree, workload, FaultPlan(), rotate_every=2,
             )
 
+    def test_rotates_and_stays_exact_under_faults(self):
+        graph, _ = _deployment()
+        rounds = random_rounds(
+            np.random.default_rng(17), graph.num_vertices, 20, 10, 117
+        )
+        workload = SequenceWorkload(rounds)
+        # One generator drives the initial randomized tree and every
+        # rotation, as a rotating deployment would.
+        rng = np.random.default_rng(2)
+        driver = FaultDriver(
+            default_algorithms()["POS"],
+            SPEC,
+            build_randomized_routing_tree(graph, rng, 0),
+            workload,
+            FaultPlan(
+                loss=IndependentLoss(0.05),
+                outages=ScheduledOutages({4: [(3, 2)]}),
+                seed=7,
+            ),
+            ArqPolicy(max_retries=8),
+            graph=graph,
+            repair=True,
+            radio_range=graph.radio_range,
+            rotate_every=5,
+            rotate_rng=rng,
+        )
+        reports = driver.run(20)
+        assert driver.rotations == 3  # rounds 5, 10 and 15
+        trustworthy = [r for r in reports if r.trustworthy]
+        assert len(trustworthy) >= 5
+        for report in trustworthy:
+            participants = list(report.participating)
+            k = quantile_rank(len(participants), SPEC.phi)
+            truth = exact_quantile(
+                workload.values(report.round_index)[participants], k
+            )
+            assert report.answer == truth
+
 
 FUZZ_GRAPH, FUZZ_TREE = _deployment(num_vertices=12, seed=11)
 FUZZ_ROUNDS = random_rounds(
@@ -238,52 +275,6 @@ def test_fuzzed_rotation_and_outage_schedules_stay_oracle_exact(
         rotate_seed=3,
         min_trustworthy=1,
     )
-
-
-# -- the fault-aware rotating runner ------------------------------------------
-
-
-class TestFaultAwareRotatingRunner:
-    def test_rotates_and_stays_exact_under_faults(self):
-        graph, _ = _deployment()
-        rounds = random_rounds(
-            np.random.default_rng(17), graph.num_vertices, 20, 10, 117
-        )
-        workload = SequenceWorkload(rounds)
-        runner = FaultAwareRotatingRunner(
-            graph, graph.radio_range, np.random.default_rng(2), rebuild_every=5
-        )
-        reports = runner.run(
-            default_algorithms()["POS"],
-            SPEC,
-            workload.values,
-            20,
-            plan=FaultPlan(
-                loss=IndependentLoss(0.05),
-                outages=ScheduledOutages({4: [(3, 2)]}),
-                seed=7,
-            ),
-            arq=ArqPolicy(max_retries=8),
-        )
-        driver = runner.driver
-        assert driver.rotations == 3  # rounds 5, 10 and 15
-        trustworthy = [r for r in reports if r.trustworthy]
-        assert len(trustworthy) >= 5
-        for report in trustworthy:
-            participants = list(report.participating)
-            k = quantile_rank(len(participants), SPEC.phi)
-            truth = exact_quantile(
-                workload.values(report.round_index)[participants], k
-            )
-            assert report.answer == truth
-
-    def test_rejects_non_rotating_configuration(self):
-        graph, _ = _deployment()
-        with pytest.raises(ConfigurationError):
-            FaultAwareRotatingRunner(
-                graph, graph.radio_range, np.random.default_rng(0),
-                rebuild_every=0,
-            )
 
 
 class TestExperimentRotationAxis:

@@ -1,9 +1,9 @@
-"""Bit-for-bit equivalence of the vectorized and object simulation cores.
+"""Bit-for-bit equivalence of the engine pipeline and the per-hop reference.
 
-Every test runs the same scenario twice — ``core="object"`` (the original
-per-vertex reference implementation) and ``core="vector"`` (the
-struct-of-arrays core) — and asserts the ledgers, logs, counters and
-answers are *identical*, floats included.  The scenarios sweep the same
+Every test runs the same scenario twice — ``"object"`` (the per-vertex
+walk in ``tests/engine_reference.py``) and ``"vector"`` (the production
+intake -> decide -> fold -> account pipeline) — and asserts the ledgers,
+logs, counters and answers are *identical*, floats included.  The scenarios sweep the same
 axes the differential invariant harness covers: payload shape (mixed
 sizes, empty, uniform, mixed-type), virtual vertices, energy-model
 ablations, link loss (i.i.d. and bursty) with ARQ, churn and outages with
@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ConfigurationError, ProtocolError
+from repro.errors import ProtocolError
 from repro.experiments.config import default_algorithms
 from repro.faults import AdaptiveArqPolicy, ArqPolicy, FaultDriver, FaultPlan
 from repro.faults.network import FaultyTreeNetwork
@@ -32,6 +32,7 @@ from repro.faults.plan import (
     ScheduledChurn,
     ScheduledOutages,
 )
+from repro.network.linkstats import LinkQualityEstimator
 from repro.network.topology import build_physical_graph
 from repro.network.tree import RoutingTree, tree_from_parents
 from repro.radio.energy import EnergyModel
@@ -39,6 +40,11 @@ from repro.radio.ledger import EnergyLedger
 from repro.sim.engine import Payload, TreeNetwork, UniformPayload
 from repro.types import QuerySpec
 
+from tests.engine_reference import (
+    ReferenceFaultyTreeNetwork,
+    ReferenceTreeNetwork,
+    use_reference,
+)
 from tests.helpers import SequenceWorkload, assert_differential_invariant
 from tests.test_fault_sampling import states_equal
 
@@ -92,7 +98,7 @@ class OneReading(UniformPayload):
     """One reading per contributor: exercises the constant-intake path.
 
     ``uniform_leaf_values = 1`` plus the default ``is_empty`` lets the
-    vectorized core take contributor ids straight off the mapping keys
+    engine take contributor ids straight off the mapping keys
     without touching the payload objects.
     """
 
@@ -137,7 +143,8 @@ def make_net(
         model=model if model is not None else EnergyModel(),
         radio_range=RADIO_RANGE,
     )
-    return TreeNetwork(tree, ledger, virtual_vertices=virtual, core=core)
+    cls = ReferenceTreeNetwork if core == "object" else TreeNetwork
+    return cls(tree, ledger, virtual_vertices=virtual)
 
 
 def assert_ledgers_identical(a: EnergyLedger, b: EnergyLedger) -> None:
@@ -253,8 +260,8 @@ class TestLosslessEquivalence:
         """A subclass in the mix defeats the all-same-type check.
 
         ``WideCount`` merges fine with ``CountPayload`` but is a different
-        class, so the vectorized core must fall back to the per-object
-        path — and still match the object core exactly.
+        class, so the engine must take the per-object fold — and still
+        match the reference walk exactly.
         """
 
         class WideCount(CountPayload):
@@ -363,9 +370,8 @@ class TestFaultyEquivalence:
             model=EnergyModel(),
             radio_range=RADIO_RANGE,
         )
-        return FaultyTreeNetwork(
-            tree, ledger, plan=plan, arq=arq, core=core
-        )
+        cls = ReferenceFaultyTreeNetwork if core == "object" else FaultyTreeNetwork
+        return cls(tree, ledger, plan=plan, arq=arq)
 
     def run_faulty(self, core: str, loss, churn=None, outages=None, retries=3):
         tree = random_tree(45, seed=12)
@@ -439,15 +445,10 @@ class TestFaultyEquivalence:
         # Churn really pruned some broadcast subtree at least once.
         assert min(reach_o) < net_o.tree.num_vertices - 1
 
-    def test_full_driver_stack_identical(self, monkeypatch):
-        """Loss + churn + outages + ARQ + repair + rotation, end to end.
-
-        The driver constructs its own networks, so the core is selected the
-        way production code does it: via ``REPRO_SIM_CORE``.
-        """
+    def test_full_driver_stack_identical(self):
+        """Loss + churn + outages + ARQ + repair + rotation, end to end."""
 
         def run(core: str):
-            monkeypatch.setenv("REPRO_SIM_CORE", core)
             rng = np.random.default_rng(11)
             n = 40
             positions = rng.uniform(0, 30, size=(n, 2))
@@ -479,18 +480,175 @@ class TestFaultyEquivalence:
                 rotate_every=4,
                 rotate_rng=np.random.default_rng(1),
             )
+            if core == "object":
+                use_reference(driver)
             reports = driver.run(len(rounds))
             return reports, driver.ledger, driver.net
 
         reports_o, ledger_o, net_o = run("object")
         reports_v, ledger_v, net_v = run("vector")
-        assert net_o.core == "object" and net_v.core == "vector"
+        assert isinstance(net_o, ReferenceFaultyTreeNetwork)
+        assert not isinstance(net_v, ReferenceFaultyTreeNetwork)
         assert [r.answer for r in reports_o] == [r.answer for r in reports_v]
         assert [r.trustworthy for r in reports_o] == [
             r.trustworthy for r in reports_v
         ]
         assert_ledgers_identical(ledger_o, ledger_v)
         self.assert_fault_counters_equal(net_o, net_v)
+
+
+# -- decide x fold: every pipeline variant against the reference walk ---------
+
+#: Decide-stage variants: ``(plan kwargs factory, ARQ factory, own stats)``.
+#: ``None`` as the plan factory means the reliable ``TreeNetwork``.
+DECIDE_AXIS = {
+    # Reliable radio: the array decide, no loop.
+    "reliable": (None, None, False),
+    # A plan that injects nothing, ARQ off: the array decide plus the
+    # channel-sample replay.
+    "empty-plan": (lambda: {}, lambda: ArqPolicy(), False),
+    # Outages but no loss: hops to a down parent fail every attempt
+    # without a draw; the generator is never touched by the loop.
+    "down-parent": (lambda: {"outages": True}, lambda: ArqPolicy(max_retries=2), False),
+    # I.i.d. loss: inline uniform blocks with the rewind-and-replay exit.
+    "iid-inline": (
+        lambda: {"loss": IndependentLoss(0.3), "outages": True},
+        lambda: ArqPolicy(max_retries=2),
+        False,
+    ),
+    # Gilbert-Elliott bursts: draws through batched_sampling.
+    "burst": (
+        lambda: {"loss": GilbertElliottLoss(0.2, 0.45, 0.03, 0.85), "outages": True},
+        lambda: ArqPolicy(max_retries=2),
+        False,
+    ),
+    # Per-link adaptive ARQ: budgets and feedback inline, shared estimator.
+    "adaptive": (
+        lambda: {"loss": IndependentLoss(0.25), "outages": True},
+        lambda: AdaptiveArqPolicy(max_retries=4),
+        False,
+    ),
+    # Adaptive ARQ next to a separate link table: the uplink samples go
+    # to both, inline.
+    "adaptive-own-stats": (
+        lambda: {"loss": GilbertElliottLoss(0.2, 0.45, 0.03, 0.85), "outages": True},
+        lambda: AdaptiveArqPolicy(max_retries=3),
+        True,
+    ),
+}
+
+
+class TestDecideFoldCombinations:
+    """Each decide variant x each fold variant, bit for bit vs the reference.
+
+    The tree carries virtual leaves, and the faulty variants take internal
+    vertices down mid-run so some hops face a down parent.  Compared:
+    ledger bytes, ``phase_bits``, ``collection_log``, answers, the ARQ
+    counters, the link-quality table (values and insertion order) and the
+    plan's final generator state.
+    """
+
+    ROUNDS = 8
+
+    @staticmethod
+    def contributions(fold: str, tree: RoutingTree, r: int):
+        if fold == "object":
+            return sized_contributions(tree, r)
+        if r % 2:
+            # Counted intake: zero counts are empty and dropped.
+            return {v: CountPayload((v + r) % 3) for v in tree.sensor_nodes}
+        # Constant intake: uniform_leaf_values = 1, payloads never read.
+        return {
+            v: OneReading(v * 5 + r)
+            for v in tree.sensor_nodes
+            if (v + r) % 4 != 0
+        }
+
+    def run(self, core: str, decide: str, fold: str):
+        tree = random_tree(60, seed=21)
+        virtual = frozenset(
+            v for v in tree.sensor_nodes if tree.is_leaf(v) and v % 3 == 0
+        )
+        ledger = EnergyLedger(
+            num_vertices=tree.num_vertices,
+            root=tree.root,
+            model=EnergyModel(),
+            radio_range=RADIO_RANGE,
+        )
+        plan_kwargs, arq_factory, own_stats = DECIDE_AXIS[decide]
+        if plan_kwargs is None:
+            cls = ReferenceTreeNetwork if core == "object" else TreeNetwork
+            net = cls(tree, ledger, virtual_vertices=virtual)
+        else:
+            kwargs = plan_kwargs()
+            internal = [
+                v for v in tree.sensor_nodes if tree.children[v]
+            ]
+            outages = (
+                ScheduledOutages(
+                    {1: ((internal[0], 2),), 3: ((internal[1], 1), (internal[2], 3))}
+                )
+                if kwargs.pop("outages", False)
+                else None
+            )
+            plan = FaultPlan(
+                outages=outages, rng=np.random.default_rng(4242), **kwargs
+            )
+            cls = (
+                ReferenceFaultyTreeNetwork
+                if core == "object"
+                else FaultyTreeNetwork
+            )
+            net = cls(
+                tree,
+                ledger,
+                plan=plan,
+                arq=arq_factory(),
+                virtual_vertices=virtual,
+                link_stats=LinkQualityEstimator() if own_stats else None,
+            )
+        answers = []
+        for r in range(self.ROUNDS):
+            if plan_kwargs is not None:
+                net.begin_faults_round(r)
+            ledger.begin_round()
+            net.phase = ("validation", "refinement")[r % 2]
+            answer = net.convergecast(self.contributions(fold, tree, r))
+            answers.append(None if answer is None else repr(answer))
+            net.broadcast(40)
+            ledger.end_round()
+        return net, answers
+
+    @pytest.mark.parametrize("fold", ["object", "uniform"])
+    @pytest.mark.parametrize("decide", sorted(DECIDE_AXIS))
+    def test_combination(self, decide, fold):
+        net_o, ans_o = self.run("object", decide, fold)
+        net_v, ans_v = self.run("vector", decide, fold)
+        for name in TestChargeLogBulkRecording.LEDGER_ARRAYS:
+            assert (
+                getattr(net_o.ledger, name).tobytes()
+                == getattr(net_v.ledger, name).tobytes()
+            ), name
+        assert_networks_identical(net_o, net_v)
+        assert ans_o == ans_v
+        if not isinstance(net_o, FaultyTreeNetwork):
+            return
+        TestFaultyEquivalence.assert_fault_counters_equal(net_o, net_v)
+        assert list(net_o.link_stats._loss.items()) == list(
+            net_v.link_stats._loss.items()
+        )
+        assert net_o.link_stats.observations == net_v.link_stats.observations
+        if net_o.arq.per_link_budget:
+            assert list(net_o.arq.estimator._loss.items()) == list(
+                net_v.arq.estimator._loss.items()
+            )
+        assert states_equal(
+            net_o.plan.rng.bit_generator.state,
+            net_v.plan.rng.bit_generator.state,
+        )
+        if net_o.plan.outages is not None:
+            # Some hop really faced a down parent and failed without a draw.
+            assert net_o.lost_transmissions > 0
 
 
 LOSS_AXIS = {
@@ -532,7 +690,8 @@ class TestFaultyEquivalenceMatrix:
             model=EnergyModel(),
             radio_range=RADIO_RANGE,
         )
-        net = FaultyTreeNetwork(tree, ledger, plan=plan, arq=arq, core=core)
+        cls = ReferenceFaultyTreeNetwork if core == "object" else FaultyTreeNetwork
+        net = cls(tree, ledger, plan=plan, arq=arq)
         answers = []
         for r in range(10):
             net.begin_faults_round(r)
@@ -638,8 +797,9 @@ class TestFaultyEquivalenceMatrix:
                 radio_range=RADIO_RANGE,
                 rotate_every=rotate_every,
                 rotate_rng=np.random.default_rng(2),
-                core=core,
             )
+            if core == "object":
+                use_reference(driver)
             reports = driver.run(len(rounds))
             return reports, driver
 
@@ -747,8 +907,9 @@ class TestFaultyEquivalenceMatrix:
                 repair=True,
                 radio_range=RADIO_RANGE,
                 failover_rng=np.random.default_rng(19),
-                core=core,
             )
+            if core == "object":
+                use_reference(driver)
             reports = driver.run(len(rounds))
             return reports, driver
 
@@ -775,45 +936,43 @@ class TestFaultyEquivalenceMatrix:
 
 
 class TestCoreSelection:
+    """Production runs one pipeline; the object walk lives in the tests."""
+
+    @staticmethod
+    def scalar_charges_forbidden(ledger: EnergyLedger) -> EnergyLedger:
+        def refuse(*args, **kwargs):
+            raise AssertionError("production charged the ledger per hop")
+
+        ledger.charge_send = refuse
+        ledger.charge_recv = refuse
+        return ledger
+
+    def run_primitives(self, net: TreeNetwork) -> None:
+        tree = net.tree
+        net.convergecast(sized_contributions(tree, 0))
+        net.convergecast({v: CountPayload(1) for v in tree.sensor_nodes})
+        net.broadcast(32)
+
     def test_default_is_vector(self):
         tree = random_tree(10)
-        assert make_net("vector", tree).core == "vector"
-        net = TreeNetwork(
-            tree,
-            EnergyLedger(
+        for cls in (TreeNetwork, FaultyTreeNetwork):
+            ledger = EnergyLedger(
                 num_vertices=tree.num_vertices,
                 root=tree.root,
                 model=EnergyModel(),
                 radio_range=RADIO_RANGE,
-            ),
-        )
-        assert net.core == "vector"
+            )
+            net = cls(tree, self.scalar_charges_forbidden(ledger))
+            # Every primitive charges through one ordered batch.
+            self.run_primitives(net)
+            assert net.exchanges == 3
 
     def test_env_override(self, monkeypatch):
+        # The old core switch is gone: setting it selects nothing.
         monkeypatch.setenv("REPRO_SIM_CORE", "object")
-        tree = random_tree(10)
-        net = TreeNetwork(
-            tree,
-            EnergyLedger(
-                num_vertices=tree.num_vertices,
-                root=tree.root,
-                model=EnergyModel(),
-                radio_range=RADIO_RANGE,
-            ),
-        )
-        assert net.core == "object"
-        assert net._charges is net.ledger
+        self.test_default_is_vector()
 
     def test_invalid_core_rejected(self):
-        tree = random_tree(10)
-        with pytest.raises(ConfigurationError):
-            make_net("simd", tree)
-
-    def test_subclass_overriding_vertex_down_without_mask_falls_back(self):
-        class HalfFaulty(TreeNetwork):
-            def _vertex_down(self, vertex: int) -> bool:
-                return False
-
         tree = random_tree(10)
         ledger = EnergyLedger(
             num_vertices=tree.num_vertices,
@@ -821,11 +980,18 @@ class TestCoreSelection:
             model=EnergyModel(),
             radio_range=RADIO_RANGE,
         )
-        net = HalfFaulty(tree, ledger, core="vector")
-        # Hooks overridden: convergecast must take the per-hop path, and an
-        # inconsistent down view must disable the vectorized broadcast too.
-        assert not net._vector_convergecast
-        assert not net._vector_broadcast
+        for cls in (TreeNetwork, FaultyTreeNetwork):
+            with pytest.raises(TypeError):
+                cls(tree, ledger, core="vector")
+        with pytest.raises(TypeError):
+            FaultDriver(
+                default_algorithms()["POS"],
+                QuerySpec(r_min=0, r_max=99),
+                tree,
+                SequenceWorkload([np.zeros(tree.num_vertices, dtype=np.int64)]),
+                FaultPlan(),
+                core="vector",
+            )
 
     def test_faulty_network_keeps_vector_broadcast(self):
         tree = random_tree(10)
@@ -835,9 +1001,50 @@ class TestCoreSelection:
             model=EnergyModel(),
             radio_range=RADIO_RANGE,
         )
-        net = FaultyTreeNetwork(tree, ledger, core="vector")
-        assert not net._vector_convergecast  # ARQ hook stays authoritative
-        assert net._vector_broadcast  # _down_mask mirrors _vertex_down
+        net = FaultyTreeNetwork(
+            tree,
+            self.scalar_charges_forbidden(ledger),
+            plan=FaultPlan(
+                churn=ScheduledChurn({1: (3,)}),
+                outages=ScheduledOutages({1: ((5, 2),)}),
+            ),
+        )
+        assert net._down_mask() is None  # nobody down: the unpruned flood
+        net.begin_faults_round(1)
+        # The down mask mirrors the plan's view vertex by vertex.
+        assert net._down_mask().tolist() == [
+            net.plan.is_down(v) for v in range(tree.num_vertices)
+        ]
+        net.broadcast(24)
+
+
+class TestSubtreeSums:
+    """``TreeArrays.subtree_sums`` equals summing over each subtree."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_explicit_subtrees(self, seed):
+        from repro.network.tree import tree_reparented
+        from repro.sim.vectorized import TreeArrays
+
+        rng = np.random.default_rng(seed)
+        tree = random_tree(80, seed=seed)
+        # A repaired tree: traversal orders rebuilt by the reparenting.
+        vertex = int(rng.integers(1, 80))
+        below = set(tree.subtree_vertices(vertex))
+        new_parent = next(v for v in range(80) if v not in below)
+        for t in (tree, tree_reparented(tree, vertex, new_parent, 1.0)):
+            values = rng.integers(0, 5, size=80)
+            sums = TreeArrays(t).subtree_sums(values)
+            expected = [
+                int(values[list(t.subtree_vertices(v))].sum())
+                for v in range(80)
+            ]
+            assert sums.tolist() == expected
+            holds = TreeArrays(t).subtree_sums(values == 0)
+            assert (holds > 0).tolist() == [
+                bool((values[list(t.subtree_vertices(v))] == 0).any())
+                for v in range(80)
+            ]
 
 
 def test_add_at_accumulates_in_array_order():
