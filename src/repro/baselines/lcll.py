@@ -42,7 +42,7 @@ from repro.core.base import (
     tag_initialization,
 )
 from repro.core.histogram import BucketGrid, make_grid
-from repro.core.payloads import BucketDeltaPayload, HistogramPayload
+from repro.core.payloads import BucketDeltaPayload, one_hot_histograms
 from repro.errors import ProtocolError
 from repro.sim.engine import TreeNetwork
 from repro.types import QuerySpec, RoundOutcome
@@ -267,12 +267,14 @@ class LCLLHierarchical(ContinuousQuantileAlgorithm):
             self._mask = self.participation_mask(net)
         indices = grid.bucket_of_array(np.asarray(values))
         indices[~self._mask] = -1
-        contributions: dict[int, HistogramPayload] = {}
-        for vertex in np.flatnonzero(indices >= 0):
-            vertex = int(vertex)
-            counts = [0] * grid.num_buckets
-            counts[int(indices[vertex])] = 1
-            contributions[vertex] = HistogramPayload(counts=tuple(counts))
+        participants = np.flatnonzero(indices >= 0)
+        one_hot = one_hot_histograms(grid.num_buckets)
+        contributions = {
+            vertex: one_hot[bucket]
+            for vertex, bucket in zip(
+                participants.tolist(), indices[participants].tolist()
+            )
+        }
         merged = net.convergecast(contributions)
         if merged is None:
             return (0,) * grid.num_buckets
@@ -499,12 +501,14 @@ class LCLLSlip(ContinuousQuantileAlgorithm):
         values = np.asarray(values)
         window_high = window_low + self.window_cells - 1
         inside = self._mask & (values >= window_low) & (values <= window_high)
-        contributions: dict[int, HistogramPayload] = {}
-        for vertex in np.flatnonzero(inside):
-            vertex = int(vertex)
-            counts = [0] * self.window_cells
-            counts[int(values[vertex]) - window_low] = 1
-            contributions[vertex] = HistogramPayload(counts=tuple(counts))
+        participants = np.flatnonzero(inside)
+        one_hot = one_hot_histograms(self.window_cells)
+        # astype truncates toward zero exactly like int(values[v]).
+        cells = values[participants].astype(np.int64) - window_low
+        contributions = {
+            vertex: one_hot[cell]
+            for vertex, cell in zip(participants.tolist(), cells.tolist())
+        }
         merged = net.convergecast(contributions)
         if merged is None:
             return (0,) * self.window_cells

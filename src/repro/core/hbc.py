@@ -43,7 +43,11 @@ from repro.core.base import (
 )
 from repro.core.cost_model import exact_optimal_buckets, rounded_optimal_buckets
 from repro.core.histogram import BucketGrid, make_grid
-from repro.core.payloads import HistogramPayload, ValueSetPayload
+from repro.core.payloads import (
+    HistogramPayload,
+    ValueSetPayload,
+    one_hot_histograms,
+)
 from repro.errors import ProtocolError
 from repro.sim.engine import TreeNetwork
 from repro.types import QuerySpec, RoundOutcome
@@ -358,21 +362,12 @@ class HBC(ContinuousQuantileAlgorithm):
             self._mask = self.participation_mask(net)
         inside = self._mask & (values >= grid.low) & (values <= grid.high)
         participants = np.flatnonzero(inside)
-        # Buckets for all participants in one array call; the per-bucket
-        # one-hot tuples are shared (payloads are immutable), so each
-        # contribution is a dict insert plus one dataclass construction.
+        # Buckets for all participants in one array call; each
+        # contribution is a dict insert of its bucket's shared payload.
         buckets = grid.bucket_of_array(values[participants])
-        num_buckets = grid.num_buckets
-        compressed = self.compressed_histograms
-        one_hot = [
-            HistogramPayload(
-                counts=tuple(
-                    1 if i == b else 0 for i in range(num_buckets)
-                ),
-                compressed=compressed,
-            )
-            for b in range(num_buckets)
-        ]
+        one_hot = one_hot_histograms(
+            grid.num_buckets, self.compressed_histograms
+        )
         contributions: dict[int, HistogramPayload] = {
             vertex: one_hot[b]
             for vertex, b in zip(participants.tolist(), buckets.tolist())

@@ -3,11 +3,22 @@
 Every payload implements :class:`repro.sim.Payload` so the engine can merge
 it in-network and account its size.  Sizes follow Table 1 / Section 5.1.4:
 16-bit measurements and counters, 8-bit bucket identifiers.
+
+Each class also has an array fold (``fold_arrays``): the engine folds a
+whole convergecast of it through :class:`~repro.sim.vectorized.ArrayFold`
+one tree level at a time instead of merging object by object, with the
+same hop sizes and root payload as ``merged_with``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import numbers
+from dataclasses import dataclass, replace
+from itertools import chain
+from operator import attrgetter
+from typing import Sequence
+
+import numpy as np
 
 from repro.constants import (
     BUCKET_COUNT_BITS,
@@ -17,6 +28,7 @@ from repro.constants import (
 )
 from repro.errors import ProtocolError
 from repro.sim.engine import Payload
+from repro.sim.vectorized import ArrayFold
 
 
 def merge_sorted(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -100,6 +112,55 @@ class ValidationPayload(Payload):
         """True when at least one node contributed a hint value."""
         return self.hint_min is not None
 
+    @classmethod
+    def fold_arrays(
+        cls, payloads: Sequence["ValidationPayload"], fold: ArrayFold
+    ) -> tuple["ValidationPayload | None", np.ndarray, np.ndarray]:
+        m = len(payloads)
+        lows, has_min = _hint_column([p.hint_min for p in payloads])
+        highs, has_max = _hint_column([p.hint_max for p in payloads])
+        # Counters and hint_values, one row per payload.
+        rows = np.array(
+            list(map(_VALIDATION_COLUMNS, payloads)), dtype=np.int64
+        ).reshape(m, 5)
+        totals = fold.sums(
+            np.column_stack([rows[:, :4], has_min, has_max])
+        )
+        hint_values = fold.maxima(rows[:, 4])
+        lows = fold.minima(lows, has_min)
+        highs = fold.maxima(highs, has_max)
+        runs = [p.values for p in payloads]
+        counts = np.fromiter(map(len, runs), dtype=np.int64, count=m)
+        sizes, root_values = fold.multiset(_flatten(runs, counts), counts)
+        has_hint = totals[:, 4] > 0
+        bits = (
+            4 * COUNTER_BITS
+            + np.where(has_hint, hint_values, 0) * VALUE_BITS
+            + sizes * VALUE_BITS
+        )
+        root = None
+        if fold.merged_at_root:
+            r = fold.root
+            into_lt, outof_lt, into_gt, outof_gt, any_min, any_max = (
+                totals[r].tolist()
+            )
+            root = cls(
+                into_lt=into_lt,
+                outof_lt=outof_lt,
+                into_gt=into_gt,
+                outof_gt=outof_gt,
+                hint_min=int(lows[r]) if any_min else None,
+                hint_max=int(highs[r]) if any_max else None,
+                hint_values=int(hint_values[r]),
+                values=tuple(root_values.tolist()),
+            )
+        return root, bits, sizes
+
+
+_VALIDATION_COLUMNS = attrgetter(
+    "into_lt", "outof_lt", "into_gt", "outof_gt", "hint_values"
+)
+
 
 @dataclass(frozen=True)
 class ValueSetPayload(Payload):
@@ -116,6 +177,20 @@ class ValueSetPayload(Payload):
     keep: int | None = None
     keep_largest: bool = False
 
+    def __post_init__(self) -> None:
+        keep = self.keep
+        # The common cases (None, a plain int) cost one or two checks; a
+        # bool is an int subclass but never a count.
+        if keep is not None and (type(keep) is not int or keep <= 0):
+            if (
+                isinstance(keep, bool)
+                or not isinstance(keep, numbers.Integral)
+                or keep <= 0
+            ):
+                raise ProtocolError(
+                    f"keep must be a positive integer or None, got {keep!r}"
+                )
+
     def merged_with(self, other: "ValueSetPayload") -> "ValueSetPayload":
         if (self.keep, self.keep_largest) != (other.keep, other.keep_largest):
             raise ProtocolError("cannot merge value sets with different pruning")
@@ -130,6 +205,27 @@ class ValueSetPayload(Payload):
 
     def is_empty(self) -> bool:
         return not self.values
+
+    @classmethod
+    def fold_arrays(
+        cls, payloads: Sequence["ValueSetPayload"], fold: ArrayFold
+    ) -> tuple["ValueSetPayload | None", np.ndarray, np.ndarray]:
+        pruning = set(map(_PRUNING, payloads))
+        if len(pruning) > 1:
+            raise ProtocolError("cannot merge value sets with different pruning")
+        ((keep, keep_largest),) = pruning
+        runs = [p.values for p in payloads]
+        counts = np.fromiter(map(len, runs), dtype=np.int64, count=len(runs))
+        sizes, root_values = fold.multiset(
+            _flatten(runs, counts), counts, keep, keep_largest
+        )
+        root = None
+        if fold.merged_at_root:
+            root = replace(payloads[0], values=tuple(root_values.tolist()))
+        return root, sizes * VALUE_BITS, sizes
+
+
+_PRUNING = attrgetter("keep", "keep_largest")
 
 
 def prune_with_ties(
@@ -176,6 +272,10 @@ class HistogramPayload(Payload):
             raise ProtocolError(
                 f"histogram size mismatch: {len(self.counts)} vs {len(other.counts)}"
             )
+        if self.compressed != other.compressed:
+            raise ProtocolError(
+                "cannot merge compressed and dense histograms"
+            )
         summed = tuple(a + b for a, b in zip(self.counts, other.counts))
         return HistogramPayload(counts=summed, compressed=self.compressed)
 
@@ -188,7 +288,62 @@ class HistogramPayload(Payload):
         return min(dense, sparse)
 
     def is_empty(self) -> bool:
-        return all(count == 0 for count in self.counts)
+        return not any(self.counts)
+
+    @classmethod
+    def fold_arrays(
+        cls, payloads: Sequence["HistogramPayload"], fold: ArrayFold
+    ) -> tuple["HistogramPayload | None", np.ndarray, np.ndarray]:
+        # Algorithms share one immutable payload per distinct histogram
+        # (one_hot_histograms), so each distinct object is read once.
+        row_of: dict[int, int] = {}
+        rows = [row_of.setdefault(id(p), len(row_of)) for p in payloads]
+        distinct = list({id(p): p for p in payloads}.values())
+        width = len(distinct[0].counts)
+        compressed = distinct[0].compressed
+        for payload in distinct:
+            if len(payload.counts) != width:
+                raise ProtocolError(
+                    f"histogram size mismatch: {width} vs {len(payload.counts)}"
+                )
+            if payload.compressed != compressed:
+                raise ProtocolError(
+                    "cannot merge compressed and dense histograms"
+                )
+        table = np.array(
+            [payload.counts for payload in distinct], dtype=np.int64
+        ).reshape(len(distinct), width)
+        totals = fold.sums(table[rows])
+        bits = np.full(len(totals), width * BUCKET_COUNT_BITS, dtype=np.int64)
+        if compressed:
+            sparse = np.count_nonzero(totals, axis=1) * (
+                BUCKET_ID_BITS + BUCKET_COUNT_BITS
+            )
+            np.minimum(bits, sparse, out=bits)
+        root = None
+        if fold.merged_at_root:
+            root = cls(
+                counts=tuple(totals[fold.root].tolist()), compressed=compressed
+            )
+        return root, bits, np.zeros(len(totals), dtype=np.int64)
+
+
+def one_hot_histograms(
+    num_buckets: int, compressed: bool = True
+) -> list[HistogramPayload]:
+    """One shared one-hot histogram per bucket, indexed by bucket.
+
+    Payloads are immutable, so every node reporting bucket ``b`` can send
+    the same object; the array fold then reads each distinct histogram
+    once.
+    """
+    return [
+        HistogramPayload(
+            counts=tuple(int(i == bucket) for i in range(num_buckets)),
+            compressed=compressed,
+        )
+        for bucket in range(num_buckets)
+    ]
 
 
 @dataclass(frozen=True)
@@ -222,35 +377,53 @@ class BucketDeltaPayload(Payload):
         """The deltas as a plain dictionary."""
         return dict(self.deltas)
 
-
-@dataclass(frozen=True)
-class CombinedPayload(Payload):
-    """Several heterogeneous payloads travelling in one transmission.
-
-    Used when an algorithm piggybacks independent pieces of information on
-    the same convergecast (e.g. LCLL-S boundary counters next to bucket
-    deltas).  Parts are merged pairwise by position.
-    """
-
-    parts: tuple[Payload, ...] = field(default_factory=tuple)
-
-    def merged_with(self, other: "CombinedPayload") -> "CombinedPayload":
-        if len(self.parts) != len(other.parts):
-            raise ProtocolError("combined payloads must have the same arity")
-        merged = tuple(
-            mine.merged_with(theirs)
-            for mine, theirs in zip(self.parts, other.parts)
+    @classmethod
+    def fold_arrays(
+        cls, payloads: Sequence["BucketDeltaPayload"], fold: ArrayFold
+    ) -> tuple["BucketDeltaPayload | None", np.ndarray, np.ndarray]:
+        runs = [p.deltas for p in payloads]
+        counts = np.fromiter(map(len, runs), dtype=np.int64, count=len(runs))
+        m = int(counts.sum())
+        keys, deltas = zip(*chain.from_iterable(runs)) if m else ((), ())
+        keys = np.fromiter(
+            chain.from_iterable(keys), dtype=np.int64, count=2 * m
+        ).reshape(m, 2)
+        sizes, (levels, buckets), deltas = fold.keyed_sums(
+            (keys[:, 0], keys[:, 1]),
+            np.fromiter(deltas, dtype=np.int64, count=m),
+            counts,
         )
-        return CombinedPayload(parts=merged)
+        root = None
+        if fold.merged_at_root:
+            root = cls(
+                deltas=tuple(
+                    ((level, bucket), delta)
+                    for level, bucket, delta in zip(
+                        levels.tolist(), buckets.tolist(), deltas.tolist()
+                    )
+                )
+            )
+        return (
+            root,
+            sizes * (BUCKET_ID_BITS + BUCKET_COUNT_BITS),
+            np.zeros(len(sizes), dtype=np.int64),
+        )
 
-    def payload_bits(self) -> int:
-        return sum(part.payload_bits() for part in self.parts if not part.is_empty())
 
-    def num_values(self) -> int:
-        return sum(part.num_values() for part in self.parts)
+def _flatten(runs: list[tuple[int, ...]], counts: np.ndarray) -> np.ndarray:
+    """The runs' values, concatenated, as one ``int64`` array."""
+    return np.fromiter(
+        chain.from_iterable(runs), dtype=np.int64, count=int(counts.sum())
+    )
 
-    def is_empty(self) -> bool:
-        return all(part.is_empty() for part in self.parts)
+
+def _hint_column(hints: list[int | None]) -> tuple[np.ndarray, np.ndarray]:
+    """Hints as ``int64`` (``None`` reads 0) and their presence mask."""
+    present = np.array([hint is not None for hint in hints], dtype=bool)
+    values = np.array(
+        [0 if hint is None else hint for hint in hints], dtype=np.int64
+    )
+    return values, present
 
 
 def _opt_min(a: int | None, b: int | None) -> int | None:

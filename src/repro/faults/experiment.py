@@ -375,11 +375,9 @@ class FaultDriver:
         """
         assert self.graph is not None
         root = self.net.tree.root
-        avoid = frozenset(
-            v
-            for v in range(self.net.tree.num_vertices)
-            if v != root and self.net.plan.is_down(v)
-        )
+        down = self.net.plan.down_mask(self.net.tree.num_vertices)
+        down[root] = False
+        avoid = frozenset(np.flatnonzero(down).tolist())
         link_stats = (
             self.net.link_stats if self.repair_metric == "etx" else None
         )
@@ -627,9 +625,8 @@ class FaultDriver:
         if self.repair is None:
             # Without a repair layer the root has no membership view at
             # all; only a completely fault-free network keeps it in sync.
-            return not any(
-                plan.is_down(v) for v in self.net.tree.sensor_nodes
-            )
+            down = plan.down_mask(self.net.tree.num_vertices)
+            return not down[list(self.net.tree.sensor_nodes)].any()
         return set(self.participating(live)) == set(
             self.repair.reachable_sensors()
         )

@@ -543,6 +543,19 @@ class FaultPlan:
         """True when ``vertex`` is out right now (dead or transient outage)."""
         return vertex in self.dead or vertex in self.down
 
+    def down_mask(self, num_vertices: int) -> np.ndarray:
+        """:meth:`is_down` for every vertex ``0 .. num_vertices - 1``.
+
+        Built from the :attr:`dead` and :attr:`down` sets, not one call per
+        vertex.
+        """
+        mask = np.zeros(num_vertices, dtype=bool)
+        if self.dead:
+            mask[list(self.dead)] = True
+        if self.down:
+            mask[list(self.down)] = True
+        return mask
+
     def transmission_lost(self, sender: int, receiver: int) -> bool:
         """Sample one transmission attempt on ``sender -> receiver``."""
         return self.loss is not None and self.loss.lost(

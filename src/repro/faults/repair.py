@@ -199,11 +199,7 @@ class TreeRepair:
     # -- root-reachability ----------------------------------------------------
 
     def _down_mask(self) -> np.ndarray:
-        """Per-vertex ``plan.is_down``, asked once per vertex."""
-        n = self.net.tree.num_vertices
-        return np.fromiter(
-            map(self.plan.is_down, range(n)), dtype=bool, count=n
-        )
+        return self.plan.down_mask(self.net.tree.num_vertices)
 
     def _reachable(self, down: np.ndarray | None = None) -> list[bool]:
         """Per-vertex: is the whole tree path to the root up right now?"""

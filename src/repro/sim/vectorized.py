@@ -23,6 +23,10 @@ a handful of segmented array operations:
   ``charge_recv_many`` record a run of equal-cost charges in one call
   (tree repair's probe replies and membership reports).
 
+* :class:`ArrayFold` — one convergecast's delivered edges and the exact
+  merge primitives a payload class's array fold is built from (the
+  engine's fold stage).
+
 * :func:`expand_arq_charges` — every attempt of every convergecast hop as
   one ordered charge batch (the engine's account stage).
 
@@ -32,6 +36,7 @@ The engine keeps its object API on top of these (see ``DESIGN.md``,
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -50,6 +55,7 @@ class TreeArrays:
         root: the sink vertex.
         parent: ``int64`` parent index per vertex (root maps to itself so
             fancy indexing never walks out of bounds; the root never sends).
+        depth: ``int64`` hop distance to the root per vertex.
         levels: index arrays grouping vertices by depth, ``levels[0]`` being
             ``[root]``.  Broadcasts sweep them top-down, the segmented
             convergecast sweeps them bottom-up.
@@ -62,12 +68,14 @@ class TreeArrays:
         "num_vertices",
         "root",
         "parent",
+        "depth",
         "levels",
         "bottom_up_no_root",
         "has_children",
         "_children",
         "_subtree_size",
         "_span",
+        "_fold_order",
     )
 
     def __init__(self, tree: "RoutingTree") -> None:
@@ -78,6 +86,7 @@ class TreeArrays:
         parent[tree.root] = tree.root
         self.parent = parent
         depth = np.array(tree.depth, dtype=np.int64)
+        self.depth = depth
         order = np.argsort(depth, kind="stable")
         boundaries = np.searchsorted(depth[order], np.arange(int(depth.max()) + 2))
         self.levels = [
@@ -96,6 +105,7 @@ class TreeArrays:
         self._subtree_size = tree.subtree_size
         #: Depth-first layout, built on first use: (order, first, end).
         self._span: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._fold_order: np.ndarray | None = None
 
     def subtree_sums(self, values: np.ndarray) -> np.ndarray:
         """Per-vertex sum of ``values`` over its subtree (itself included).
@@ -121,6 +131,341 @@ class TreeArrays:
         prefix = np.zeros(self.num_vertices + 1, dtype=np.int64)
         np.cumsum(values[preorder], out=prefix[1:])
         return prefix[end] - prefix[first]
+
+    @property
+    def fold_order(self) -> np.ndarray:
+        """Non-root vertices, deepest level first, by parent within a level.
+
+        Siblings are adjacent, so a level's hops into each parent form one
+        run (see :class:`ArrayFold`).  Built on first use.
+        """
+        if self._fold_order is None:
+            n = self.num_vertices
+            key = (int(self.depth.max()) - self.depth) * n + self.parent
+            order = np.argsort(key, kind="stable")
+            self._fold_order = order[order != self.root]
+        return self._fold_order
+
+
+class ArrayFold:
+    """One convergecast's delivered edges, for a payload class's array fold.
+
+    A payload class with an array fold (``Payload.fold_arrays``) merges
+    its contributions through these primitives instead of calling
+    ``merged_with`` once per hop.  Each primitive takes per-source columns
+    (one entry, or one run of entries, per live contribution, in
+    :attr:`sources` order) and folds them up the tree one level at a time,
+    deepest first, along the delivered edges.  It returns, per vertex,
+    what that vertex holds once its own contribution and its delivered
+    children's payloads are merged: the payload it sends on.
+
+    Every primitive is exact, so a level-batched fold equals any pairwise
+    merge order:
+
+    * additive integer columns (:meth:`sums`) — integer addition;
+    * min/max columns (:meth:`minima`, :meth:`maxima`);
+    * a sorted multiset with an optional tie-keeping prune
+      (:meth:`multiset`) — pruning to the ``keep`` smallest values plus
+      the ties of the boundary composes: pruning a union of pruned
+      operands equals pruning the union of the raw ones;
+    * keyed sparse sums that drop zero entries (:meth:`keyed_sums`) —
+      dropping zeros commutes with integer sums.
+
+    Pruning and zero-dropping apply only where ``merged_with`` runs: at
+    vertices whose :attr:`operands` count is at least 2.  A vertex with a
+    single operand forwards it untouched, as the per-object fold does.
+
+    Attributes:
+        root: the sink vertex.
+        sources: contributing vertex of each live payload.
+        operands: per vertex, the payloads merged there — its own live
+            contribution plus its delivered children that hold data.
+        reached: per source, whether it reached the root (``None``: all).
+        merged_at_root: whether two or more contributions reached the
+            root.  Otherwise the root holds the lone contribution that
+            reached it, or nothing, and no merge result is needed.
+    """
+
+    def __init__(
+        self,
+        arrays: TreeArrays,
+        sources: np.ndarray,
+        walk: np.ndarray,
+        edge_ok: np.ndarray | None,
+        reached: np.ndarray | None,
+    ) -> None:
+        """``walk``: the vertices holding data, root excluded; ``edge_ok``:
+        per vertex, whether its hop delivered (``None``: every hop did)."""
+        self._arrays = arrays
+        self._walk = walk
+        self._edge_ok = edge_ok
+        self.root = arrays.root
+        self.sources = sources
+        self.reached = reached
+        count = len(sources) if reached is None else np.count_nonzero(reached)
+        self.merged_at_root = bool(count >= 2)
+
+    @cached_property
+    def _carried(self) -> np.ndarray:
+        """Per vertex: holds data and its hop delivered."""
+        carried = np.zeros(self._arrays.num_vertices, dtype=bool)
+        carried[self._walk] = True
+        if self._edge_ok is not None:
+            carried &= self._edge_ok
+        return carried
+
+    @cached_property
+    def operands(self) -> np.ndarray:
+        arrays = self._arrays
+        operands = np.bincount(
+            arrays.parent[self._carried], minlength=arrays.num_vertices
+        )
+        operands[self.sources] += 1
+        return operands
+
+    @cached_property
+    def _steps(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """The delivered hops, deepest level first, siblings adjacent.
+
+        Per level: the hop senders, their distinct parents and where each
+        parent's run of senders starts.
+        """
+        arrays = self._arrays
+        order = arrays.fold_order
+        order = order[self._carried[order]]
+        if not len(order):
+            return []
+        parent = arrays.parent[order]
+        starts = np.flatnonzero(
+            np.concatenate(([True], parent[1:] != parent[:-1]))
+        )
+        depth = arrays.depth[order[starts]]
+        cuts = np.flatnonzero(depth[1:] != depth[:-1]) + 1
+        bounds = np.concatenate(([0], cuts, [len(starts)])).tolist()
+        edges = np.concatenate((starts, [len(order)]))
+        steps = []
+        for first, end in zip(bounds[:-1], bounds[1:]):
+            low = starts[first]
+            steps.append(
+                (
+                    order[low : edges[end]],
+                    parent[starts[first:end]],
+                    starts[first:end] - low,
+                )
+            )
+        return steps
+
+    def sums(self, columns: np.ndarray) -> np.ndarray:
+        """Per-vertex totals of integer ``columns`` (one row per source)."""
+        n = self._arrays.num_vertices
+        totals = np.zeros((n,) + columns.shape[1:], dtype=np.int64)
+        totals[self.sources] = columns
+        if self._edge_ok is None and columns.ndim == 1:
+            # Every hop delivered: prefix sums over the depth-first layout.
+            return self._arrays.subtree_sums(totals)
+        for senders, parents, runs in self._steps:
+            totals[parents] += np.add.reduceat(totals[senders], runs, axis=0)
+        return totals
+
+    def minima(
+        self, column: np.ndarray, present: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Per-vertex minimum of ``column`` over the sources ``present``
+        (default: all); ``int64`` max where none contributes."""
+        return self._extreme(
+            column, present, np.minimum, np.iinfo(np.int64).max
+        )
+
+    def maxima(
+        self, column: np.ndarray, present: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Per-vertex maximum, as :meth:`minima`; ``int64`` min where none
+        contributes."""
+        return self._extreme(
+            column, present, np.maximum, np.iinfo(np.int64).min
+        )
+
+    def _extreme(self, column, present, ufunc, fill: int) -> np.ndarray:
+        out = np.full(self._arrays.num_vertices, fill, dtype=np.int64)
+        if present is None:
+            out[self.sources] = column
+        else:
+            out[self.sources[present]] = column[present]
+        for senders, parents, runs in self._steps:
+            out[parents] = ufunc(out[parents], ufunc.reduceat(out[senders], runs))
+        return out
+
+    def multiset(
+        self,
+        values: np.ndarray,
+        counts: np.ndarray,
+        keep: int | None = None,
+        largest: bool = False,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Fold per-source runs of ``values`` as sorted multisets.
+
+        ``counts`` gives each source's run length.  Where two or more
+        operands meet, the merged multiset is pruned to its ``keep``
+        smallest (``largest``: largest) values plus every further copy of
+        the boundary value; ``keep=None`` never prunes.
+
+        Returns each vertex's multiset size and the root's values,
+        ascending.
+        """
+        sizes = np.zeros(self._arrays.num_vertices, dtype=np.int64)
+        operands = self.operands
+        codes, span, decode = _order_codes(values)
+
+        def merge(entries):
+            entries = np.sort(entries)
+            start, length = _runs(entries // span)
+            holder = entries[start] // span
+            if keep is not None:
+                cut = (length > keep) & (operands[holder] >= 2)
+                if cut.any():
+                    run = np.repeat(np.arange(len(start)), length)
+                    # The keep-th entry from the kept end (runs too short
+                    # to cut read any in-run entry; they are kept whole).
+                    # Within a run, entries order as their values do.
+                    if largest:
+                        boundary = entries[start + np.maximum(length - keep, 0)]
+                        kept = entries >= boundary[run]
+                    else:
+                        boundary = entries[start + np.minimum(keep, length) - 1]
+                        kept = entries <= boundary[run]
+                    kept |= ~cut[run]
+                    entries = entries[kept]
+                    length = np.bincount(run[kept], minlength=len(start))
+            sizes[holder] = length
+            return (entries,)
+
+        (root,) = self._fold_runs(counts, codes, span, merge)
+        return sizes, decode(root % span)
+
+    def keyed_sums(
+        self,
+        keys: tuple[np.ndarray, ...],
+        deltas: np.ndarray,
+        counts: np.ndarray,
+    ) -> tuple[np.ndarray, tuple[np.ndarray, ...], np.ndarray]:
+        """Fold per-source runs of ``(key, delta)`` entries as sparse sums.
+
+        Each entry's key is one value from every array in ``keys``; a run
+        holds distinct keys.  Where two or more operands meet, deltas of
+        equal keys add up and zero sums are dropped.
+
+        Returns each vertex's entry count, and the root's keys (ascending,
+        one array per key column) and deltas.
+        """
+        sizes = np.zeros(self._arrays.num_vertices, dtype=np.int64)
+        operands = self.operands
+        # One code per key, ordered as the key tuples are.
+        codes = np.zeros(len(deltas), dtype=np.int64)
+        span = 1
+        decoders = []
+        for key in keys:
+            digit, width, decode = _order_codes(key)
+            codes = codes * width + digit
+            decoders.append((width, decode))
+            span *= width
+
+        def merge(entries, delta):
+            order = np.argsort(entries)
+            entries = entries[order]
+            start, _ = _runs(entries)
+            entries = entries[start]
+            delta = np.add.reduceat(delta[order], start)
+            owner = entries // span
+            kept = (delta != 0) | (operands[owner] < 2)
+            if not kept.all():
+                entries = entries[kept]
+                delta = delta[kept]
+                owner = owner[kept]
+            start, length = _runs(owner)
+            sizes[owner[start]] = length
+            return entries, delta
+
+        root, root_deltas = self._fold_runs(counts, codes, span, merge, deltas)
+        code = root % span
+        root_keys = []
+        for width, decode in reversed(decoders):
+            root_keys.append(decode(code % width))
+            code //= width
+        return sizes, tuple(reversed(root_keys)), root_deltas
+
+    def _fold_runs(self, counts, codes, span, merge, *columns) -> tuple:
+        """Walk per-source runs of entries up the tree, level by level.
+
+        An entry is ``owner * span + code`` (``0 <= code < span``), plus
+        its values in ``columns``; entries start at their source
+        (``counts`` per source).  At each level, deepest first,
+        ``merge(entries, *columns)`` combines the entries held there (in no
+        particular order) and returns the merged ones; those of delivered
+        vertices move onto the parents.  Returns the root level's merge.
+        """
+        arrays = self._arrays
+        n = arrays.num_vertices
+        if n * span >= 2**62:
+            raise ValueError("array fold keys too wide for int64 codes")
+        owner = np.repeat(self.sources, counts)
+        entries = owner * span + codes
+        owner_depth = arrays.depth[owner]
+        pending: list[list[tuple]] = [[] for _ in arrays.levels]
+        for depth in np.unique(owner_depth).tolist():
+            at = owner_depth == depth
+            pending[depth].append(
+                (entries[at],) + tuple(column[at] for column in columns)
+            )
+        root = (entries[:0],) + tuple(column[:0] for column in columns)
+        for depth in range(len(pending) - 1, -1, -1):
+            if not pending[depth]:
+                continue
+            merged = merge(
+                *(np.concatenate(part) for part in zip(*pending[depth]))
+            )
+            if depth == 0:
+                root = merged
+                break
+            entries, *rest = merged
+            owner = entries // span
+            if self._edge_ok is not None:
+                up = self._edge_ok[owner]
+                owner = owner[up]
+                entries = entries[up]
+                rest = [column[up] for column in rest]
+            moved = arrays.parent[owner] * span + entries % span
+            pending[depth - 1].append((moved, *rest))
+        return root
+
+
+def _order_codes(column: np.ndarray):
+    """Order-preserving codes ``0 <= code < span`` for an integer column.
+
+    Returns ``(codes, span, decode)``; ``decode(codes)`` gives the values
+    back.  A column spanning at most twice its length is offset by its
+    minimum; a sparser one is ranked among its distinct values.
+    """
+    if not len(column):
+        return column, 1, lambda codes: codes
+    low = int(column.min())
+    width = int(column.max()) - low + 1
+    if width <= 2 * len(column):
+        return column - low, width, lambda codes: codes + low
+    distinct, codes = np.unique(column, return_inverse=True)
+    return codes.reshape(-1), len(distinct), distinct.__getitem__
+
+
+def _runs(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start index and length of every run of equal values in ``column``."""
+    size = len(column)
+    new = np.empty(size, dtype=bool)
+    new[:1] = True
+    np.not_equal(column[1:], column[:-1], out=new[1:])
+    start = np.flatnonzero(new)
+    length = np.empty(len(start), dtype=np.int64)
+    length[:-1] = start[1:] - start[:-1]
+    length[-1:] = size - start[-1:]
+    return start, length
 
 
 def send_cost_per_bit_array(

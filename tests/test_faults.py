@@ -20,7 +20,7 @@ from repro.faults import (
     fault_lineup,
     run_fault_experiment,
 )
-from repro.faults.plan import LinkLossModel
+from repro.faults.plan import LinkLossModel, ScheduledOutages
 from repro.radio.energy import EnergyModel
 from repro.radio.ledger import EnergyLedger
 from repro.radio.message import ack_cost, message_bits
@@ -119,6 +119,17 @@ class TestChurnModels:
         assert plan.begin_round(small_tree, 2) == frozenset({5})
         assert plan.is_dead(3) and plan.is_dead(5)
         assert not plan.is_dead(4)
+
+    def test_down_mask_matches_is_down(self, small_tree):
+        plan = FaultPlan(
+            churn=ScheduledChurn({1: (3,)}),
+            outages=ScheduledOutages({1: ((5, 2),)}),
+        )
+        n = small_tree.num_vertices
+        assert not plan.down_mask(n).any()
+        plan.begin_round(small_tree, 1)
+        assert plan.down_mask(n).tolist() == [plan.is_down(v) for v in range(n)]
+        assert plan.down_mask(n)[[3, 5]].all()
 
     def test_root_death_accepted(self, small_tree):
         # The sink may die like any vertex since root fail-over landed —

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.constants import (
@@ -12,7 +13,6 @@ from repro.constants import (
 )
 from repro.core.payloads import (
     BucketDeltaPayload,
-    CombinedPayload,
     HistogramPayload,
     ValidationPayload,
     ValueSetPayload,
@@ -127,6 +127,16 @@ class TestValueSetPayload:
         with pytest.raises(ProtocolError):
             a.merged_with(b)
 
+    @pytest.mark.parametrize("keep", [0, -3, True, False, 2.0, "2", np.int64(0)])
+    def test_bad_keep_rejected_at_construction(self, keep):
+        with pytest.raises(ProtocolError, match="keep"):
+            ValueSetPayload(values=(1,), keep=keep)
+
+    def test_good_keep_accepted(self):
+        assert ValueSetPayload(values=(1,), keep=1).keep == 1
+        assert ValueSetPayload(values=(1,), keep=np.int64(2)).keep == 2
+        assert ValueSetPayload(values=(1,), keep=None).keep is None
+
     def test_size_and_values(self):
         payload = ValueSetPayload(values=(1, 2, 3))
         assert payload.payload_bits() == 3 * VALUE_BITS
@@ -143,6 +153,16 @@ class TestHistogramPayload:
     def test_size_mismatch_rejected(self):
         with pytest.raises(ProtocolError):
             HistogramPayload(counts=(1,)).merged_with(HistogramPayload(counts=(1, 2)))
+
+    @pytest.mark.parametrize("compressed_first", [True, False])
+    def test_mixed_compression_rejected_both_orders(self, compressed_first):
+        # Either order would otherwise size the merge differently (48 vs
+        # 128 bits for these 8 buckets), breaking order independence.
+        compressed = HistogramPayload(counts=(1,) + (0,) * 7, compressed=True)
+        dense = HistogramPayload(counts=(0, 1) + (0,) * 6, compressed=False)
+        a, b = (compressed, dense) if compressed_first else (dense, compressed)
+        with pytest.raises(ProtocolError, match="compressed"):
+            a.merged_with(b)
 
     def test_dense_size(self):
         payload = HistogramPayload(counts=(1, 1, 1, 1), compressed=False)
@@ -175,32 +195,3 @@ class TestBucketDeltaPayload:
 
     def test_emptiness(self):
         assert BucketDeltaPayload().is_empty()
-
-
-class TestCombinedPayload:
-    def test_merges_pairwise(self):
-        a = CombinedPayload(parts=(HistogramPayload((1, 0)), ValueSetPayload((3,))))
-        b = CombinedPayload(parts=(HistogramPayload((0, 1)), ValueSetPayload((5,))))
-        merged = a.merged_with(b)
-        assert merged.parts[0].counts == (1, 1)
-        assert merged.parts[1].values == (3, 5)
-
-    def test_size_skips_empty_parts(self):
-        payload = CombinedPayload(
-            parts=(HistogramPayload((0, 0)), ValueSetPayload((1,)))
-        )
-        assert payload.payload_bits() == VALUE_BITS
-
-    def test_arity_mismatch_rejected(self):
-        a = CombinedPayload(parts=(ValueSetPayload((1,)),))
-        b = CombinedPayload(parts=())
-        with pytest.raises(ProtocolError):
-            a.merged_with(b)
-
-    def test_num_values_and_emptiness(self):
-        payload = CombinedPayload(
-            parts=(ValueSetPayload((1, 2)), HistogramPayload((0,)))
-        )
-        assert payload.num_values() == 2
-        assert not payload.is_empty()
-        assert CombinedPayload(parts=(HistogramPayload((0,)),)).is_empty()

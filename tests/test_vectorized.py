@@ -12,6 +12,7 @@ broadcast pruning, tree repair and rotation via the full fault driver.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -20,6 +21,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.payloads import (
+    BucketDeltaPayload,
+    HistogramPayload,
+    ValidationPayload,
+    ValueSetPayload,
+    one_hot_histograms,
+)
 from repro.errors import ProtocolError
 from repro.experiments.config import default_algorithms
 from repro.faults import AdaptiveArqPolicy, ArqPolicy, FaultDriver, FaultPlan
@@ -538,6 +546,112 @@ DECIDE_AXIS = {
 }
 
 
+def typed_fields(payload):
+    """A payload as nested ``(type, value)`` pairs, element types included.
+
+    ``None`` stays ``None``; dataclass payloads expand field by field and
+    tuples element by element, so a ``numpy`` integer where the reference
+    holds a Python ``int`` compares unequal.
+    """
+    if payload is None:
+        return None
+    if dataclasses.is_dataclass(payload):
+        return (
+            type(payload).__name__,
+            tuple(
+                (f.name, typed_fields(getattr(payload, f.name)))
+                for f in dataclasses.fields(payload)
+            ),
+        )
+    if isinstance(payload, (tuple, frozenset)):
+        items = sorted(payload) if isinstance(payload, frozenset) else payload
+        return (type(payload).__name__, tuple(map(typed_fields, items)))
+    return (type(payload).__name__, payload)
+
+
+def _value_sets(tree: RoutingTree, r: int) -> dict[int, ValueSetPayload]:
+    """Pruned value sets: boundary ties, leaves over ``keep``, both ends."""
+    keep_largest = bool(r % 2)
+    contributions = {}
+    for v in tree.sensor_nodes:
+        if (v + r) % 5 == 0:
+            continue
+        width = 5 if v % 7 == 0 else 1  # more than keep: pruned only where merged
+        values = tuple(sorted((v * 3 + r + i) % 9 for i in range(width)))
+        contributions[v] = ValueSetPayload(
+            values=values, keep=3, keep_largest=keep_largest
+        )
+    contributions[tree.root] = ValueSetPayload(
+        values=(4, 4), keep=3, keep_largest=keep_largest
+    )
+    return contributions
+
+
+def _validation(tree: RoutingTree, r: int) -> dict[int, ValidationPayload]:
+    """Counters, present and absent hints, hint_values 1 and 2, values."""
+    contributions = {}
+    for v in tree.sensor_nodes:
+        if (v + r) % 3 == 0:
+            continue
+        hinted = (v + r) % 4 != 1
+        value = (v * 5 + r) % 17
+        contributions[v] = ValidationPayload(
+            into_lt=int(v % 2 == 0),
+            outof_lt=int(v % 3 == 0),
+            into_gt=int(v % 5 == 0),
+            outof_gt=(v + r) % 2,
+            hint_min=value if hinted else None,
+            hint_max=value + 1 if hinted else None,
+            hint_values=1 + (v + r) % 2,
+            values=(value, value + r) if v % 4 == 0 else (),
+        )
+    contributions[tree.root] = ValidationPayload(into_lt=2, values=(1,))
+    return contributions
+
+
+def _histograms(tree: RoutingTree, r: int) -> dict[int, HistogramPayload]:
+    """Shared one-hot histograms next to fresh multi-bucket ones."""
+    one_hot = one_hot_histograms(6, compressed=bool(r % 2))
+    contributions = {}
+    for v in tree.sensor_nodes:
+        if (v + r) % 6 == 0:
+            continue
+        if v % 5 == 0:
+            counts = tuple((v + i * r) % 3 for i in range(6))
+            if any(counts):
+                contributions[v] = HistogramPayload(counts, compressed=bool(r % 2))
+            continue
+        contributions[v] = one_hot[(v + r) % 6]
+    contributions[tree.root] = one_hot[0]
+    return contributions
+
+
+def _bucket_deltas(tree: RoutingTree, r: int) -> dict[int, BucketDeltaPayload]:
+    """Moves between buckets and regions, zero-delta leaf entries."""
+    contributions = {}
+    for v in tree.sensor_nodes:
+        if (v + r) % 4 == 0:
+            continue
+        old, new = (v + r) % 5, (v * 3 + r) % 5
+        entries = {(0, old): -1, (0, new): 1} if old != new else {(0, old): 0}
+        if v % 3 == 0:
+            entries[(-1, v % 2)] = 1 - 2 * (r % 2)
+        contributions[v] = BucketDeltaPayload(deltas=tuple(sorted(entries.items())))
+    contributions[tree.root] = BucketDeltaPayload(deltas=(((0, 1), 1),))
+    return contributions
+
+
+#: The paper algorithms' payload classes (each with an array fold), as
+#: fold variants of the decide x fold matrix; every builder also keys a
+#: contribution by the root.
+PAPER_PAYLOADS = {
+    "value-set": _value_sets,
+    "validation": _validation,
+    "histogram": _histograms,
+    "bucket-delta": _bucket_deltas,
+}
+
+
 class TestDecideFoldCombinations:
     """Each decide variant x each fold variant, bit for bit vs the reference.
 
@@ -554,6 +668,8 @@ class TestDecideFoldCombinations:
     def contributions(fold: str, tree: RoutingTree, r: int):
         if fold == "object":
             return sized_contributions(tree, r)
+        if fold in PAPER_PAYLOADS:
+            return PAPER_PAYLOADS[fold](tree, r)
         if r % 2:
             # Counted intake: zero counts are empty and dropped.
             return {v: CountPayload((v + r) % 3) for v in tree.sensor_nodes}
@@ -614,12 +730,12 @@ class TestDecideFoldCombinations:
             ledger.begin_round()
             net.phase = ("validation", "refinement")[r % 2]
             answer = net.convergecast(self.contributions(fold, tree, r))
-            answers.append(None if answer is None else repr(answer))
+            answers.append(typed_fields(answer))
             net.broadcast(40)
             ledger.end_round()
         return net, answers
 
-    @pytest.mark.parametrize("fold", ["object", "uniform"])
+    @pytest.mark.parametrize("fold", ["object", "uniform", *PAPER_PAYLOADS])
     @pytest.mark.parametrize("decide", sorted(DECIDE_AXIS))
     def test_combination(self, decide, fold):
         net_o, ans_o = self.run("object", decide, fold)
