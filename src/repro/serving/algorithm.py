@@ -293,10 +293,16 @@ class MultiQuerySketch(ContinuousQuantileAlgorithm):
         self.refreshes += 1
         mask = self.participation_mask(net)
         self._mask = mask
+        # One merge (and so one query index) per distinct cell set: every
+        # global target shares the digest of all cells.
+        decoded = {
+            cells: collected.merged_cells(cells)
+            for cells in {t.cells for t in self.plan.targets}
+        }
         targets: dict[tuple, GateTarget] = {}
         for index, plan_target in enumerate(self.plan.targets):
             targets[plan_target.key] = self._build_target(
-                plan_target, index, collected, values, mask
+                plan_target, index, decoded[plan_target.cells], values, mask
             )
         self.targets = targets
         self._broadcast_filters(net)
@@ -305,11 +311,11 @@ class MultiQuerySketch(ContinuousQuantileAlgorithm):
         self,
         plan_target: PlanTarget,
         index: int,
-        collected: TaggedSketchPayload,
+        sub: QDigest | None,
         values: np.ndarray,
         mask: np.ndarray,
     ) -> GateTarget:
-        """Fresh gate state for one plan target from a collected payload."""
+        """Fresh gate state for one plan target from its cells' digest."""
         scope_mask = np.zeros(len(values), dtype=bool)
         if plan_target.scope:
             scope_mask[list(plan_target.scope)] = True
@@ -318,7 +324,6 @@ class MultiQuerySketch(ContinuousQuantileAlgorithm):
         )
         participating = scope_mask & mask
         n_scope = int(participating.sum())
-        sub = collected.merged_cells(plan_target.cells)
         if n_scope == 0:
             target.empty_scope = True
         elif sub is None or sub.n == 0:
@@ -348,11 +353,23 @@ class MultiQuerySketch(ContinuousQuantileAlgorithm):
         collected = self._collect(net, values, cells=cells)
         if collected is not None:
             self.partial_refreshes += 1
-            for index, plan_target in enumerate(self.plan.targets):
-                if plan_target.cells and plan_target.cells <= cells:
-                    self.targets[plan_target.key] = self._build_target(
-                        plan_target, index, collected, values, self._mask
-                    )
+            covered = [
+                (index, plan_target)
+                for index, plan_target in enumerate(self.plan.targets)
+                if plan_target.cells and plan_target.cells <= cells
+            ]
+            decoded = {
+                target_cells: collected.merged_cells(target_cells)
+                for target_cells in {t.cells for _, t in covered}
+            }
+            for index, plan_target in covered:
+                self.targets[plan_target.key] = self._build_target(
+                    plan_target,
+                    index,
+                    decoded[plan_target.cells],
+                    values,
+                    self._mask,
+                )
             self._broadcast_filters(net)
         return RoundOutcome(
             quantile=self._primary(), refinements=1, filter_broadcast=True
@@ -553,6 +570,16 @@ class MultiQuerySketch(ContinuousQuantileAlgorithm):
             return 0
         return int((target.scope_mask & self._mask).sum())
 
+    def scope_values(self, target: GateTarget, values: np.ndarray) -> np.ndarray:
+        """``values`` of the currently participating sensors in scope.
+
+        In vertex order, the same selection as indexing ``values`` with
+        :meth:`scope_members`, without building the id tuple.
+        """
+        if self._mask is None:
+            return values[:0]
+        return values[target.scope_mask & self._mask]
+
     def scope_members(self, target: GateTarget) -> tuple[int, ...]:
         """Vertex ids of the currently participating sensors in scope."""
         if self._mask is None:
@@ -627,3 +654,4 @@ class MultiQuerySketch(ContinuousQuantileAlgorithm):
         # Per registered target: the served value plus the four sound rank
         # bounds the successor continues from.
         return super().handover_state_bits() + 5 * VALUE_BITS * len(self.targets)
+

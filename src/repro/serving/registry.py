@@ -391,7 +391,7 @@ class QueryRegistry:
         )
         oracle_error: float | None = None
         if values is not None:
-            scope_values = values[list(algorithm.scope_members(target))]
+            scope_values = algorithm.scope_values(target, values)
             oracle_error = float(rank_error(scope_values, int(target.value), k))
         item = AnswerItem(
             label=planned.label,
@@ -431,7 +431,7 @@ class QueryRegistry:
         estimate = (lo + hi) / 2.0
         oracle_error: float | None = None
         if values is not None:
-            scope_values = values[list(algorithm.scope_members(low_t))]
+            scope_values = algorithm.scope_values(low_t, values)
             truth = float(
                 np.mean((scope_values >= q.low) & (scope_values <= q.high))
             )

@@ -23,19 +23,57 @@ the ambiguity:
 
 All operations are pure: :meth:`merged` returns a new digest and never
 mutates either operand (the engine merges payloads in arbitrary order).
+
+**Root-side index.**  Queries (:meth:`QDigest.rank_bounds`,
+:meth:`QDigest.quantile`) read a lazily built index, cached on the
+instance the first time a digest is queried; digests that are only merged
+in-network never build it, and it is not a dataclass field, so equality,
+hashing and :meth:`~QDigest.payload_bits` ignore it.  It holds two sorted
+sequences with cumulative counts: the entries in the quantile scan order
+``(range max, node id)``, and the entries' range starts.
+
+It is exact, not an approximation.  A query split ``x`` in
+``(r_min, r_max]`` falls at or before the last real leaf, so clipping a
+range that reaches into the padding at ``r_max`` never moves it across the
+split; the lower bound (entries ending before the split) is therefore one
+prefix sum over the sorted range maxima.  The upper bound adds the entries
+straddling the split; a range starts no later than it ends, so "ends
+before or straddles" is exactly "starts before", one prefix sum over the
+sorted starts.  The quantile scan stops at the first entry whose running
+count reaches ``k`` — one bisect over the same running counts.  Every
+query is therefore ``O(log entries)`` and returns the integers a scan of
+every entry returns (``tests/qdigest_reference.py`` keeps that scan).
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable
+from functools import cached_property
+from itertools import accumulate
+from typing import Iterable, NamedTuple
 
 from repro.constants import COUNTER_BITS
 from repro.errors import ConfigurationError, ProtocolError
 
 #: Bits spent declaring the per-entry count width in the serialized header.
 _COUNT_WIDTH_BITS = 5
+
+
+class _RankIndex(NamedTuple):
+    """Prefix sums answering every root-side query with one bisect.
+
+    ``maxima`` are the entries' range maxima in the quantile scan order
+    ``(range max, node id)`` and ``starts`` their range minima, sorted; the
+    ``below_*[i]`` lists hold the summed counts of the first ``i`` entries
+    of each order.
+    """
+
+    maxima: list[int]
+    below_max: list[int]
+    starts: list[int]
+    below_start: list[int]
 
 
 @dataclass(frozen=True)
@@ -126,46 +164,38 @@ class QDigest:
     def rank_bounds(self, x: int) -> tuple[int, int]:
         """Sound bounds ``(lo, hi)`` on ``#{values < x}``.
 
-        ``hi - lo`` is the ambiguity at the boundary, at most ``eps * n``.
+        ``lo`` counts the entries whose range ends before ``x``, ``hi`` also
+        those straddling it; ``hi - lo`` is the ambiguity at the boundary,
+        at most ``eps * n``.  Two bisects on the cached index.
         """
         if x <= self.r_min:
             return 0, 0
         if x > self.r_max:
             return self.n, self.n
         boundary = x - self.r_min  # leaf index split
-        lo = hi = 0
-        for node, count in self.entries:
-            a, b = self._node_range(node)
-            # Padding leaves beyond the universe never hold measurements, so
-            # a range reaching into the padding effectively ends at r_max.
-            b = min(b, self.universe_size - 1)
-            if b < boundary:
-                lo += count
-                hi += count
-            elif a < boundary:
-                hi += count
-        return lo, hi
+        index = self._index
+        return (
+            index.below_max[bisect_left(index.maxima, boundary)],
+            index.below_start[bisect_left(index.starts, boundary)],
+        )
 
     def quantile(self, k: int) -> int:
         """An approximation of the ``k``-th smallest summarized value.
 
         The returned value's true rank differs from ``k`` by at most
         ``eps * n``.  Stored nodes are scanned in ascending order of their
-        range maximum (deeper nodes first on ties) and the range maximum of
-        the node reaching cumulative count ``k`` is reported.
+        range maximum and the range maximum of the node reaching cumulative
+        count ``k`` is reported.  Ties are broken by node id, which puts
+        the shallower node first (an ancestor shares its range maximum
+        with its right-edge descendants); the answer does not depend on
+        the tie order because tied nodes report the same range maximum.
+        One bisect on the cached index.
         """
         if not 1 <= k <= self.n:
             raise ConfigurationError(f"rank {k} out of range for {self.n} values")
-        ordered = sorted(
-            self.entries, key=lambda item: (self._node_range(item[0])[1], item[0])
-        )
-        cumulative = 0
-        result = self.r_min
-        for node, count in ordered:
-            cumulative += count
-            result = self.r_min + self._node_range(node)[1]
-            if cumulative >= k:
-                break
+        # Counts sum to n, so a valid k is reached by some entry.
+        index = self._index
+        result = self.r_min + index.maxima[bisect_left(index.below_max, k) - 1]
         return min(result, self.r_max)
 
     def quantile_phi(self, phi: float) -> int:
@@ -233,12 +263,26 @@ class QDigest:
             count <= bound for node, count in self.entries if node < leaf_base
         )
 
-    def _node_range(self, node: int) -> tuple[int, int]:
-        """Inclusive leaf-index range ``[a, b]`` covered by ``node``."""
-        depth = node.bit_length() - 1
-        span = 1 << (self.levels - depth)
-        first = (node - (1 << depth)) * span
-        return first, first + span - 1
+    @cached_property
+    def _index(self) -> _RankIndex:
+        """The query index, built on first use (see the module docstring)."""
+        levels = self.levels
+        order: list[tuple[int, int, int]] = []
+        starts: list[tuple[int, int]] = []
+        for node, count in self.entries:
+            depth = node.bit_length() - 1
+            span = 1 << (levels - depth)
+            first = (node - (1 << depth)) * span
+            order.append((first + span - 1, node, count))
+            starts.append((first, count))
+        order.sort()
+        starts.sort()
+        return _RankIndex(
+            maxima=[maximum for maximum, _, _ in order],
+            below_max=list(accumulate((c for _, _, c in order), initial=0)),
+            starts=[start for start, _ in starts],
+            below_start=list(accumulate((c for _, c in starts), initial=0)),
+        )
 
 
 def _validate_params(eps: float, r_min: int, r_max: int) -> None:

@@ -22,6 +22,7 @@ from repro.network.topology import connected_random_graph
 from repro.serving import (
     GroupByQuery,
     MultiQueryRunner,
+    MultiQuerySketch,
     PhiQuery,
     QueryRegistry,
     RangeQuery,
@@ -34,6 +35,7 @@ from repro.serving import (
 from repro.sim.oracle import exact_quantile, quantile_rank, rank_error
 from repro.sketch import QDigest
 from repro.types import QuerySpec
+from tests import qdigest_reference as reference
 
 
 def make_deployment(num_nodes=30, seed=11, radio_range=60.0):
@@ -171,6 +173,64 @@ class TestGridMath:
             phi_grid(sketch, (0.5,))
 
 
+class TestRootDecodeMatchesScan:
+    """The root's decoders give the results the linear scans drive.
+
+    ``value_bounds`` and the gate's exemption band binary-search over the
+    universe with the digest's rank bounds; here they are checked against
+    a walk over every universe value with the reference entry scan.
+    """
+
+    CASES = [(0, 0, 1023, 0.05), (1, 0, 1023, 0.2), (2, -40, 59, 0.3), (3, 5, 5, 0.5)]
+
+    def digest(self, seed, r_min, r_max, eps):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(40, 200))
+        values = np.clip(
+            rng.normal((r_min + r_max) / 2, (r_max - r_min) / 6 + 1, n).round(),
+            r_min,
+            r_max,
+        ).astype(int)
+        return reference.random_merge_tree(rng, values, eps, r_min, r_max)[-1]
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_value_bounds(self, case):
+        digest = self.digest(*case)
+        universe = range(digest.r_min, digest.r_max + 1)
+        below = {v: reference.rank_bounds(digest, v) for v in universe}
+        below[digest.r_max + 1] = reference.rank_bounds(digest, digest.r_max + 1)
+        for k in range(1, digest.n + 1):
+            upper = min(v for v in universe if below[v + 1][0] >= k)
+            lower = max(v for v in universe if below[v][1] < k)
+            assert value_bounds(digest, k) == (min(lower, upper), upper)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_exemption_band(self, case):
+        digest = self.digest(*case)
+        gate = MultiQuerySketch(
+            QuerySpec(r_min=digest.r_min, r_max=digest.r_max), QueryRegistry()
+        )
+
+        def uncertain(boundary, band):
+            return max(
+                0,
+                reference.rank_bounds(digest, boundary + band + 1)[1]
+                - reference.rank_bounds(digest, boundary - band + 1)[0],
+            )
+
+        r_min, r_max = digest.r_min, digest.r_max
+        for boundary in sorted({r_min, r_min + 1, (r_min + r_max) // 2, r_max, r_max + 1}):
+            lo, hi = reference.rank_bounds(digest, boundary)
+            for share in (0.0, 0.02, 0.1, 0.3, 1.0):
+                budget = share * digest.n
+                band = -1
+                while band < r_max - r_min and (
+                    hi - lo + 2 * uncertain(boundary, band + 1) <= budget
+                ):
+                    band += 1
+                assert gate._exemption_band(digest, boundary, hi - lo, budget) == band
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     values=st.lists(st.integers(0, 1023), min_size=1, max_size=120),
@@ -225,6 +285,22 @@ class TestServingFaultFree:
                         assert item.lo <= item.value <= item.hi
                     else:
                         assert item.oracle_error <= 0.05 * population
+
+    def test_scope_values_follow_the_participation_mask(self):
+        graph, tree, workload, spec = make_deployment()
+        runner = MultiQueryRunner(self.dashboard(), spec, tree, workload, graph=graph)
+        runner.run(2)
+        algorithm = runner.driver.algorithm
+        values = workload.values(1)
+        gone = tree.sensor_nodes[0]
+        algorithm.detach(runner.driver.net, gone)
+        for target in algorithm.targets.values():
+            members = algorithm.scope_members(target)
+            assert gone not in members
+            assert (
+                algorithm.scope_values(target, values).tolist()
+                == values[list(members)].tolist()
+            )
 
     def test_group_by_answers_match_region_oracle(self):
         graph, tree, workload, spec = make_deployment(seed=5)

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from repro.errors import ConfigurationError, ProtocolError
 from repro.sim.oracle import rank_error
 from repro.sketch import QDigest
+from tests import qdigest_reference as reference
 
 R_MIN, R_MAX = 0, 127
 
@@ -119,3 +120,88 @@ class TestQDigestValidation:
             digest.quantile(0)
         with pytest.raises(ConfigurationError):
             digest.quantile(4)
+
+
+#: ``(r_min, r_max)`` universes for the index fuzz: power-of-two and padded
+#: sizes, negative ``r_min``, a one-value universe and the serving default.
+FUZZ_UNIVERSES = [(0, 127), (0, 1023), (-50, 49), (-7, -7), (3, 12), (-600, 700)]
+
+
+def edge_points(digest: QDigest) -> list[int]:
+    """Query points at, below and above both universe edges."""
+    r_min, r_max = digest.r_min, digest.r_max
+    return sorted(
+        {r_min - 5, r_min - 1, r_min, r_min + 1, r_max - 1, r_max, r_max + 1, r_max + 5}
+    )
+
+
+def assert_matches_reference(digest: QDigest, points) -> None:
+    for x in points:
+        assert digest.rank_bounds(x) == reference.rank_bounds(digest, x), x
+    for k in range(1, digest.n + 1):
+        assert digest.quantile(k) == reference.quantile(digest, k), k
+
+
+class TestIndexMatchesScan:
+    """The indexed queries return the linear scan's integers exactly."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("regime", ["lossless", "compressing"])
+    @pytest.mark.parametrize("universe", FUZZ_UNIVERSES)
+    def test_random_merge_trees(self, universe, regime, seed):
+        r_min, r_max = universe
+        rng = np.random.default_rng([seed, r_max - r_min, len(regime)])
+        if regime == "lossless":
+            eps, n = 0.01, int(rng.integers(1, 60))
+        else:
+            eps, n = float(rng.choice([0.2, 0.3, 0.5])), int(rng.integers(60, 300))
+        # Half the values cluster, so compression builds internal nodes.
+        centre = int(rng.integers(r_min, r_max + 1))
+        values = np.clip(
+            np.where(
+                rng.random(n) < 0.5,
+                centre + rng.integers(-3, 4, n),
+                rng.integers(r_min, r_max + 1, n),
+            ),
+            r_min,
+            r_max,
+        )
+        built = reference.random_merge_tree(rng, values, eps, r_min, r_max)
+        root = built[-1]
+        assert root.n == n
+        leaf_base = 1 << root.levels
+        internal = any(node < leaf_base for node, _ in root.entries)
+        if regime == "lossless":
+            assert root.n // root.kappa == 0 and not internal
+        else:
+            assert root.n // root.kappa >= 1
+            if r_min < r_max:
+                assert internal
+        # Exhaustive over the universe at the root, edges plus random
+        # points for a sample of the intermediate digests.
+        assert_matches_reference(root, range(r_min - 2, r_max + 3))
+        for i in rng.choice(len(built) - 1, size=min(12, len(built) - 1), replace=False):
+            digest = built[int(i)]
+            points = edge_points(digest) + rng.integers(r_min, r_max + 2, 8).tolist()
+            assert_matches_reference(digest, points)
+
+    @pytest.mark.parametrize("universe", FUZZ_UNIVERSES)
+    def test_empty_digest(self, universe):
+        digest = QDigest.empty(0.1, *universe)
+        for x in edge_points(digest):
+            assert digest.rank_bounds(x) == reference.rank_bounds(digest, x) == (0, 0)
+        with pytest.raises(ConfigurationError):
+            digest.quantile(1)
+
+    def test_index_is_not_a_field(self):
+        """Querying builds the index without touching equality or size."""
+        values = list(range(0, 128, 3)) * 4
+        digest = QDigest.from_values(values, 0.3, R_MIN, R_MAX)
+        twin = QDigest.from_values(values, 0.3, R_MIN, R_MAX)
+        bits = digest.payload_bits()
+        assert "_index" not in vars(digest)
+        digest.quantile(digest.n // 2)
+        assert "_index" in vars(digest)
+        assert digest == twin and hash(digest) == hash(twin)
+        assert digest.payload_bits() == bits
+        assert digest.merged(twin) == twin.merged(twin)
