@@ -21,19 +21,18 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.base import ContinuousQuantileAlgorithm
-from repro.errors import ConfigurationError, ProtocolError
+from repro.errors import ConfigurationError
 from repro.network.routing import build_randomized_routing_tree
 from repro.network.topology import PhysicalGraph
 from repro.radio.energy import EnergyModel
-from repro.radio.ledger import EnergyLedger
-from repro.sim.engine import TreeNetwork
-from repro.sim.oracle import exact_quantile, quantile_rank, rank_error
-from repro.sim.runner import RunResult, ValuesProvider
-from repro.types import RoundStats
+from repro.sim.runner import RunResult, ValuesProvider, run_fault_free
 
 
 class RotatingTreeRunner:
     """A simulation runner that re-samples the routing tree periodically.
+
+    It is the fault driver's rotation (``rotate_every``) on an empty
+    plan, with uniform parent picks (``repair_metric="nearest"``).
 
     Args:
         graph: the physical deployment (fixed).
@@ -74,75 +73,10 @@ class RotatingTreeRunner:
         num_rounds: int,
     ) -> RunResult:
         """Execute ``num_rounds`` rounds, rotating the tree on schedule."""
-        if num_rounds < 1:
-            raise ProtocolError(f"num_rounds must be >= 1, got {num_rounds}")
-        ledger = EnergyLedger(
-            num_vertices=self.graph.num_vertices,
-            root=self.root,
-            model=self.energy_model,
-            radio_range=self.radio_range,
-        )
         tree = build_randomized_routing_tree(self.graph, self.rng, self.root)
-        net = TreeNetwork(tree, ledger)
-        k = quantile_rank(net.num_sensor_nodes, algorithm.spec.phi)
-        sensors = list(tree.sensor_nodes)
-        result = RunResult(algorithm=algorithm.name)
-
-        previous_messages = previous_values_sent = previous_exchanges = 0
-        for round_index in range(num_rounds):
-            if (
-                self.rebuild_every
-                and round_index
-                and round_index % self.rebuild_every == 0
-            ):
-                tree = build_randomized_routing_tree(
-                    self.graph, self.rng, self.root
-                )
-                # Same vertices, same ledger: only the parent pointers move.
-                fresh = TreeNetwork(tree, ledger)
-                fresh.exchanges = net.exchanges
-                fresh.phase_bits = net.phase_bits
-                net = fresh
-
-            values = np.asarray(values_provider(round_index))
-            ledger.begin_round()
-            if round_index == 0:
-                outcome = algorithm.initialize(net, values)
-            else:
-                outcome = algorithm.update(net, values)
-            round_energy = ledger.end_round()
-
-            sensor_values = values[sensors]
-            truth = exact_quantile(sensor_values, k)
-            # Only exact algorithms promise the oracle's answer; a sketch
-            # answering within its rank bound is not a protocol failure.
-            if self.check and algorithm.exact and outcome.quantile != truth:
-                raise ProtocolError(
-                    f"{algorithm.name} round {round_index}: computed "
-                    f"{outcome.quantile} but the exact quantile is {truth}"
-                )
-            mask = ledger.sensor_mask()
-            total_messages = int(ledger.messages_sent.sum())
-            total_values = int(ledger.values_sent.sum())
-            result.rounds.append(
-                RoundStats(
-                    round_index=round_index,
-                    outcome=outcome,
-                    true_quantile=truth,
-                    max_sensor_energy_j=float(round_energy[mask].max()),
-                    total_energy_j=float(round_energy.sum()),
-                    messages_sent=total_messages - previous_messages,
-                    values_sent=total_values - previous_values_sent,
-                    exchanges=net.exchanges - previous_exchanges,
-                    rank_error=rank_error(sensor_values, outcome.quantile, k),
-                )
-            )
-            previous_messages = total_messages
-            previous_values_sent = total_values
-            previous_exchanges = net.exchanges
-
-        result.max_mean_round_energy_j = ledger.max_mean_round_energy()
-        result.lifetime_rounds = ledger.steady_state_lifetime()
-        result.totals = ledger.totals()
-        result.phase_bits = dict(net.phase_bits)
-        return result
+        return run_fault_free(
+            algorithm, tree, values_provider, num_rounds, self.check,
+            graph=self.graph, radio_range=self.radio_range,
+            energy_model=self.energy_model, repair_metric="nearest",
+            rotate_every=self.rebuild_every, rotate_rng=self.rng,
+        )

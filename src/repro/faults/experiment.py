@@ -70,24 +70,8 @@ from repro.network.topology import PhysicalGraph, connected_random_graph
 from repro.network.tree import RoutingTree
 from repro.radio.energy import EnergyModel
 from repro.radio.ledger import EnergyLedger
-from repro.sim.oracle import exact_quantile, quantile_rank
-from repro.types import QuerySpec
-
-
-def insertion_rank_error(sensor_values: np.ndarray, answer: int, k: int) -> int:
-    """Distance between k and the closest true rank the answer occupies.
-
-    If the reported value does not occur in the network at all, the error is
-    measured against the rank it *would* take if inserted.
-    """
-    less = int((sensor_values < answer).sum())
-    equal = int((sensor_values == answer).sum())
-    low_rank, high_rank = less + 1, max(less + equal, less + 1)
-    if low_rank <= k <= high_rank:
-        return 0
-    if k < low_rank:
-        return low_rank - k
-    return k - high_rank
+from repro.sim.oracle import exact_quantile, insertion_rank_error, quantile_rank, rank_error
+from repro.types import QuerySpec, RoundStats
 
 
 def fault_lineup(sketch_eps: float = 0.05) -> dict[str, AlgorithmFactory]:
@@ -211,6 +195,9 @@ class RoundReport:
     degraded_reason: str | None = None
     #: The root fail-over executed this round, if any.
     failover: FailoverEvent | None = None
+    #: The round in the simulation runner's terms (scored against the live
+    #: population); ``None`` when the algorithm produced no outcome.
+    stats: RoundStats | None = None
 
 
 class FaultDriver:
@@ -247,6 +234,10 @@ class FaultDriver:
     membership (detached sensors) carries straight over.  Rotation runs
     before the repair pass, so a rotation that had no choice but to parent
     someone under a down vertex is patched by the same round's repair.
+
+    On an inert plan (:attr:`FaultPlan.inert`) nothing can go missing: a
+    :class:`~repro.errors.ProtocolError` is a bug and propagates, and the
+    watchdog is not consulted (the contract ``SimulationRunner`` runs on).
     """
 
     def __init__(
@@ -269,6 +260,7 @@ class FaultDriver:
         history=None,
         root_grace: int = 1,
         failover_rng: np.random.Generator | None = None,
+        energy_model: EnergyModel | None = None,
     ) -> None:
         if rotate_every < 0:
             raise ConfigurationError(
@@ -297,7 +289,7 @@ class FaultDriver:
         )
         self.rotations = 0
         self.ledger = EnergyLedger(
-            tree.num_vertices, tree.root, EnergyModel(), radio_range
+            tree.num_vertices, tree.root, energy_model or EnergyModel(), radio_range
         )
         self.net = FaultyTreeNetwork(tree, self.ledger, plan=plan, arq=arq)
         self.watchdog = RootWatchdog(tree, patience=watchdog_patience)
@@ -344,6 +336,10 @@ class FaultDriver:
         self._scheduled_reinit = False
         self._tainted = False
         self._last_trustworthy_answer: int | None = None
+        # Traffic totals at the last round's end; the last live population
+        # scored, with its index array.
+        self._traffic_seen = (0, 0, 0)
+        self._scored: tuple[tuple[int, ...], np.ndarray] = ((), np.zeros(0, int))
 
     # -- membership views -----------------------------------------------------
 
@@ -427,6 +423,7 @@ class FaultDriver:
         self.ledger.begin_round()
         log_start = len(net.collection_log)
         failed = reinitialized = False
+        outcome = None
         degraded_reason: str | None = None
         repair_record: RepairRound | None = None
         # Root fail-over runs before the repair pass: repair's reachability
@@ -496,6 +493,8 @@ class FaultDriver:
                 outcome = self.algorithm.update(net, values)
                 self.last_answer = outcome.quantile
         except ProtocolError:
+            if plan.inert:
+                raise  # nothing was injected: a bug, not a fault
             # Loss/churn drove the protocol state into an impossible
             # configuration.  Re-synchronize from scratch *in this round*:
             # the re-init broadcast + convergecast is real traffic and is
@@ -529,8 +528,13 @@ class FaultDriver:
                     self.last_answer = outcome.quantile
                 except ProtocolError:
                     self._scheduled_reinit = True  # even the re-init drowned
-        self.ledger.end_round()
+        round_energy = self.ledger.end_round()
         self.rounds_run += 1
+        seen, self._traffic_seen = self._traffic_seen, (
+            int(self.ledger.messages_sent.sum()),
+            int(self.ledger.values_sent.sum()),
+            net.exchanges,
+        )
 
         degraded = degraded_reason is not None
         if degraded:
@@ -546,9 +550,10 @@ class FaultDriver:
             self._tainted = True
 
         # Root-side watchdog: full collections tell the root who is gone.
-        # Degraded rounds run no collections, so there is nothing to watch.
+        # Degraded rounds run no collections, and on an inert plan every
+        # frame arrives, so there is nothing to watch.
         reinit_wanted = False
-        if not degraded:
+        if not degraded and not plan.inert:
             full_records = [
                 record
                 for record in round_records
@@ -566,16 +571,39 @@ class FaultDriver:
 
         # Accuracy against the live population's quantile (undefined while
         # nobody is up — those rounds simply have no truth to score).
+        stats = None
         if live:
-            live_values = values[list(live)]
+            if live is not self._scored[0]:
+                self._scored = (live, np.array(live, dtype=np.intp))
+            live_values = values[self._scored[1]]
             k_live = quantile_rank(len(live), self.spec.phi)
             truth = exact_quantile(live_values, k_live)
             answer = self.last_answer if self.last_answer is not None else truth
+            # The true quantile sits at rank k: only a wrong answer needs
+            # its ranks counted.
             self.exact += int(answer == truth)
             self.value_errors.append(abs(answer - truth))
             self.rank_errors.append(
-                insertion_rank_error(live_values, answer, k_live)
+                0
+                if answer == truth
+                else insertion_rank_error(live_values, answer, k_live)
             )
+            if outcome is not None:
+                stats = RoundStats(
+                    round_index=round_index,
+                    outcome=outcome,
+                    true_quantile=truth,
+                    max_sensor_energy_j=float(
+                        round_energy[self.ledger.sensor_mask()].max()
+                    ),
+                    total_energy_j=float(round_energy.sum()),
+                    messages_sent=self._traffic_seen[0] - seen[0],
+                    values_sent=self._traffic_seen[1] - seen[1],
+                    exchanges=self._traffic_seen[2] - seen[2],
+                    rank_error=0
+                    if outcome.quantile == truth
+                    else rank_error(live_values, outcome.quantile, k_live),
+                )
 
         trustworthy = not degraded and self._trustworthy(failed, live)
         if trustworthy and self.last_answer is not None:
@@ -597,6 +625,7 @@ class FaultDriver:
             degraded=degraded,
             degraded_reason=degraded_reason,
             failover=failover_event,
+            stats=stats,
         )
         if self.history is not None:
             self.history.absorb_report(report)
@@ -622,6 +651,10 @@ class FaultDriver:
         if self._scheduled_reinit:
             return False
         plan = self.net.plan
+        if not plan.dead and not plan.down:
+            # Everyone is up, so every sensor reaches the root: the root's
+            # view is in sync unless repair still holds someone detached.
+            return self.repair is None or self.repair.detached.isdisjoint(live)
         if self.repair is None:
             # Without a repair layer the root has no membership view at
             # all; only a completely fault-free network keeps it in sync.

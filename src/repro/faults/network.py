@@ -194,14 +194,6 @@ class AdaptiveArqPolicy(ArqPolicy):
     def observe(self, sender: int, receiver: int, delivered: bool) -> None:
         self.estimator.observe(sender, receiver, delivered)
 
-    def observe_batch(self, senders, receivers, delivered) -> None:
-        """Feedback for equal-length outcome vectors, in attempt order.
-
-        Delegates to the estimator's ordered replay, so batched feedback
-        yields bit-identical budgets to scalar feedback.
-        """
-        self.estimator.observe_batch(senders, receivers, delivered)
-
     # The frozen-dataclass __eq__/__repr__ inherited from ArqPolicy compare
     # and print ``max_retries`` alone, silently equating policies whose
     # learned per-link state (and even target_delivery/smoothing) differ.
@@ -291,11 +283,7 @@ class FaultyTreeNetwork(TreeNetwork):
         :attr:`link_stats` once, after the decisions.
         """
         arq = self.arq
-        loss = self.plan.loss
-        lossless = loss is None or (
-            type(loss) is IndependentLoss and loss.probability == 0.0
-        )
-        if down is None and lossless and not arq.enabled:
+        if down is None and self.plan.lossless and not arq.enabled:
             hops = super()._decide_hops(present, down)
         else:
             hops = self._walk_hops(present, down)

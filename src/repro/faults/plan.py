@@ -452,6 +452,19 @@ class FaultPlan:
         """The loss model's long-run average rate (0.0 without one)."""
         return self.loss.nominal_loss if self.loss is not None else 0.0
 
+    @property
+    def lossless(self) -> bool:
+        """Whether no frame can be lost: no loss model, or zero-rate i.i.d."""
+        loss = self.loss
+        return loss is None or (
+            type(loss) is IndependentLoss and loss.probability == 0.0
+        )
+
+    @property
+    def inert(self) -> bool:
+        """Whether the plan can inject nothing: lossless, no churn, no outages."""
+        return self.lossless and self.churn is None and self.outages is None
+
     def begin_round(self, tree: RoutingTree, round_index: int) -> frozenset[int]:
         """Advance churn and outages by one round; returns the newly dead.
 

@@ -99,15 +99,16 @@ class RootWatchdog:
         if record.expected == 0 or not self._baseline_branches:
             return False
         coverage = record.coverage
-        # A contributor the branch map has never seen (adopted into the
-        # tree after the last retarget, or a promoted sink's re-rooted
-        # branch) counts as its own branch instead of KeyError-ing: an
-        # unknown vertex that *delivered* is never evidence of silence.
-        delivered_branches = {self._branch.get(v, v) for v in record.delivered}
-        silent_branches = self._baseline_branches - delivered_branches
-        suspicious = (
-            coverage < self.coverage_drop * self._baseline_coverage
-            or bool(silent_branches)
+        # Branches are named by their heads (root children, or the root), so
+        # when every head delivered no branch is silent.  An unknown vertex
+        # (adopted after the last retarget, or a promoted sink's re-rooted
+        # branch) that delivered counts as its own branch, never as silence.
+        delivered = record.delivered
+        suspicious = coverage < self.coverage_drop * self._baseline_coverage or (
+            not self._baseline_branches <= delivered
+            and bool(
+                self._baseline_branches - {self._branch.get(v, v) for v in delivered}
+            )
         )
         if not suspicious:
             self._streak = 0

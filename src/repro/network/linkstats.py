@@ -30,7 +30,8 @@ across.  Consumers:
 
 from __future__ import annotations
 
-from itertools import chain, compress, repeat
+from array import array
+from itertools import repeat
 
 import numpy as np
 
@@ -48,6 +49,14 @@ class LinkQualityEstimator:
         smoothing: EWMA weight of the newest sample, in ``(0, 1]``.
         prior_loss: loss assumed for links never observed, in ``[0, 1)``.
 
+    The table is a float64 column (an ``array`` of doubles: scalar reads
+    and writes cost what a list's do, and a whole convergecast reads and
+    writes it as a numpy view without a copy).  Row 0 holds the prior;
+    each directed link gets the next row on its first sighting, and
+    :attr:`_row` maps its key ``sender * 2**32 + receiver`` to that row
+    (one link is keyed by a multiplication, so a numpy id too narrow for
+    the key raises instead of wrapping).
+
     Instances carry mutable learning state — share one per network, not
     across experiment cells.
     """
@@ -63,32 +72,61 @@ class LinkQualityEstimator:
             )
         self.smoothing = smoothing
         self.prior_loss = prior_loss
-        self._loss: dict[tuple[int, int], float] = {}
+        self._row: dict[int, int] = {}
+        self._losses = array("d", [prior_loss])
         #: Total channel samples folded in (all links).
         self.observations = 0
 
+    # -- the table ------------------------------------------------------------
+
+    def _lookup(self, keys: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Each key's row (0 if never observed), seen flag and loss estimate."""
+        found = map(self._row.get, keys.tolist(), repeat(0))
+        rows = np.fromiter(found, np.intp, len(keys))
+        return rows, rows > 0, np.frombuffer(self._losses)[rows]
+
+    def _both_ways(self, senders, receivers) -> tuple[np.ndarray, np.ndarray]:
+        """Seen flags and losses: row 0 for ``a -> b``, row 1 for ``b -> a``."""
+        a = np.asarray(senders, dtype=np.int64)
+        b = np.asarray(receivers, dtype=np.int64)
+        _, seen, losses = self._lookup(np.concatenate([(a << 32) | b, (b << 32) | a]))
+        return seen.reshape(2, -1), losses.reshape(2, -1)
+
+    def _store(
+        self, keys: np.ndarray, losses: np.ndarray, rows: np.ndarray, seen: np.ndarray
+    ) -> None:
+        """Write distinct links' estimates; ``rows``/``seen`` from :meth:`_lookup`."""
+        # The view must be gone before the column grows.
+        np.frombuffer(self._losses)[rows[seen]] = losses[seen]
+        fresh = ~seen
+        if fresh.any():
+            size = len(self._losses)
+            self._row.update(zip(keys[fresh].tolist(), range(size, size + len(keys))))
+            self._losses.extend(losses[fresh].tolist())
+
+    @property
+    def _loss(self) -> dict[tuple[int, int], float]:
+        """The whole table as ``{(sender, receiver): loss}``, in key order."""
+        return {
+            (key >> 32, key & 0xFFFFFFFF): self._losses[row]
+            for key, row in sorted(self._row.items())
+        }
+
+    # -- observations ---------------------------------------------------------
+
     def observe(self, sender: int, receiver: int, delivered: bool) -> None:
         """Fold one channel outcome on ``sender -> receiver`` into the EWMA."""
-        key = (sender, receiver)
-        previous = self._loss.get(key, self.prior_loss)
-        sample = 0.0 if delivered else 1.0
-        self._loss[key] = (
-            (1.0 - self.smoothing) * previous + self.smoothing * sample
+        key = sender * (1 << 32) + receiver
+        row = self._row.get(key, 0)
+        loss = (1.0 - self.smoothing) * self._losses[row] + self.smoothing * (
+            0.0 if delivered else 1.0
         )
+        if row:
+            self._losses[row] = loss
+        else:
+            self._row[int(key)] = len(self._losses)
+            self._losses.append(loss)
         self.observations += 1
-
-    def observe_batch(self, senders, receivers, delivered) -> None:
-        """Fold a batch of channel outcomes, sample by sample, in order.
-
-        Accepts any equal-length sequences (lists or numpy arrays).  Each
-        element goes through the exact scalar EWMA recurrence of
-        :meth:`observe`, so per-link estimates, dict insertion order and
-        the :attr:`observations` counter are bit-identical to the
-        equivalent sequence of scalar calls — the EWMA is order-dependent,
-        so no closed-form fold is attempted.
-        """
-        for sender, receiver, ok in zip(senders, receivers, delivered):
-            self.observe(sender, receiver, ok)
 
     def observe_hops(
         self,
@@ -116,96 +154,67 @@ class LinkQualityEstimator:
         a hop's samples of one link are consecutive, so per-link EWMA
         chains are independent: one elementwise ``(1-s)*prev + s*sample``
         step per attempt index performs each link's scalar float sequence.
-        New links are inserted in hop order, uplink before downlink.
         """
         hop_count = len(senders)
         if not hop_count:
             return
-        d = self._loss
-        prior = self.prior_loss
         s = self.smoothing
         keep = 1.0 - s
-        dget = d.get
-        tx = np.asarray(senders).tolist()
-        par_list = np.asarray(receivers).tolist()
+        senders = np.asarray(senders, dtype=np.int64)
+        receivers = np.asarray(receivers, dtype=np.int64)
+        if attempts is None and frame_ok is None and parent_up is None and not arq:
+            # One delivered frame per hop, no ACKs: one step towards 0.
+            keys = (senders << 32) | receivers
+            rows, seen, losses = self._lookup(keys)
+            self._store(keys, keep * losses + s * 0.0, rows, seen)
+            self.observations += hop_count
+            return
         if attempts is None:
             attempts = np.ones(hop_count, dtype=np.int64)
         offsets = np.zeros(hop_count, dtype=np.int64)
         np.cumsum(attempts[:-1], out=offsets[1:])
         if frame_ok is None:
             frame_ok = np.ones(int(attempts.sum()), dtype=bool)
-        all_up = parent_up is None or bool(parent_up.all())
-        # Key tuples come straight off zip (the pair IS the key) and the
-        # prior lookups run as map(dict.get, ...) at C speed.  Missing links
-        # only appear while the topology is still being explored, so the
-        # slow interleaved insertion loop runs a handful of times per
-        # experiment.
-        pairs_up = zip(tx, par_list)
-        up_flags = [True] * hop_count if all_up else parent_up.tolist()
-        up_keys = list(pairs_up) if all_up else list(compress(pairs_up, up_flags))
+        up_hops = (
+            np.arange(hop_count) if parent_up is None else np.flatnonzero(parent_up)
+        )
+        up_keys = (senders[up_hops] << 32) | receivers[up_hops]
         if arq:
             ok_frames = np.add.reduceat(frame_ok.astype(np.int64), offsets)
-            dn_flags = (ok_frames > 0).tolist()
-            dn_keys = list(compress(zip(par_list, tx), dn_flags))
-        else:
-            dn_flags = [False] * hop_count
-            dn_keys = []
-        prev_up = list(map(dget, up_keys, repeat(prior)))
-        prev_dn = list(map(dget, dn_keys, repeat(prior)))
-        new_links = not all(map(d.__contains__, chain(up_keys, dn_keys)))
-        samples = 0
-        up_vals: list[float] = []
-        dn_vals: list[float] = []
-        if up_keys:
-            up_hops = np.arange(hop_count) if all_up else np.flatnonzero(parent_up)
-            cur = np.array(prev_up, dtype=np.float64)
-            lens = attempts[up_hops]
-            starts = offsets[up_hops]
-            fail = (~frame_ok).astype(np.float64)
-            for j in range(int(lens.max())):
-                m = lens > j
-                cur[m] = keep * cur[m] + s * fail[starts[m] + j]
-            up_vals = cur.tolist()
-            samples += int(lens.sum())
-        if dn_keys:
             dn_hops = np.flatnonzero(ok_frames > 0)
-            curd = np.array(prev_dn, dtype=np.float64)
-            k_arr = ok_frames[dn_hops]
-            final_fail = (~np.array(final_ack, dtype=bool)[dn_hops]).astype(
-                np.float64
+            keys = np.concatenate(
+                [up_keys, (receivers[dn_hops] << 32) | senders[dn_hops]]
             )
-            for j in range(int(k_arr.max())):
+        else:
+            keys = up_keys
+        rows, seen, losses = self._lookup(keys)
+        fail = (~frame_ok).astype(np.float64)
+        up = losses[:len(up_hops)]
+        lens = attempts[up_hops]
+        starts = offsets[up_hops]
+        for j in range(int(lens.max(initial=0))):
+            m = lens > j
+            up[m] = keep * up[m] + s * fail[starts[m] + j]
+        samples = int(lens.sum())
+        if arq:
+            down = losses[len(up_hops):]
+            k_arr = ok_frames[dn_hops]
+            final_fail = 1.0 - np.array(final_ack, dtype=np.float64)[dn_hops]
+            for j in range(int(k_arr.max(initial=0))):
                 m = k_arr > j
                 sample = np.where(k_arr[m] == j + 1, final_fail[m], 1.0)
-                curd[m] = keep * curd[m] + s * sample
-            dn_vals = curd.tolist()
+                down[m] = keep * down[m] + s * sample
             samples += int(k_arr.sum())
-        if not new_links:
-            # Every key already exists, so assignment order cannot change
-            # the dict's (observable) insertion order: bulk-update.
-            d.update(zip(up_keys, up_vals))
-            d.update(zip(dn_keys, dn_vals))
-        else:
-            # First sighting of at least one link: insert hop by hop,
-            # uplink before downlink, as the scalar calls would.
-            up_iter = iter(zip(up_keys, up_vals))
-            dn_iter = iter(zip(dn_keys, dn_vals))
-            for up_here, dn_here in zip(up_flags, dn_flags):
-                if up_here:
-                    key, val = next(up_iter)
-                    d[key] = val
-                if dn_here:
-                    key, val = next(dn_iter)
-                    d[key] = val
+        self._store(keys, losses, rows, seen)
         self.observations += samples
 
     def loss(self, sender: int, receiver: int) -> float:
         """Current loss estimate for the directed link (prior if unseen)."""
-        return self._loss.get((sender, receiver), self.prior_loss)
+        return self._losses[self._row.get(sender * (1 << 32) + receiver, 0)]
 
     def has_estimate(self, sender: int, receiver: int) -> bool:
         """Whether the directed link has ever been observed."""
-        return (sender, receiver) in self._loss
+        return sender * (1 << 32) + receiver in self._row
 
     def link_observed(self, a: int, b: int) -> bool:
         """Whether either direction of the ``a <-> b`` link has samples."""
@@ -230,25 +239,18 @@ class LinkQualityEstimator:
         operations as the scalar method, so every entry equals the
         corresponding :meth:`etx` call bit for bit.
         """
-        get = self._loss.get
-        prior = repeat(self.prior_loss)
-        p_up = np.fromiter(map(get, zip(senders, receivers), prior), dtype=float)
-        p_down = np.fromiter(map(get, zip(receivers, senders), prior), dtype=float)
-        p_up = np.minimum(p_up, MAX_LOSS_FOR_ETX)
-        p_down = np.minimum(p_down, MAX_LOSS_FOR_ETX)
+        p_up, p_down = np.minimum(self._both_ways(senders, receivers)[1], MAX_LOSS_FOR_ETX)
         return 1.0 / ((1.0 - p_up) * (1.0 - p_down))
 
     def observed_many(self, senders, receivers) -> np.ndarray:
         """:meth:`link_observed` of each ``senders[i] <-> receivers[i]`` link."""
-        seen = self._loss.__contains__
-        up = np.fromiter(map(seen, zip(senders, receivers)), dtype=bool)
-        down = np.fromiter(map(seen, zip(receivers, senders)), dtype=bool)
+        up, down = self._both_ways(senders, receivers)[0]
         return up | down
 
     @property
     def num_links(self) -> int:
         """Number of directed links with at least one sample."""
-        return len(self._loss)
+        return len(self._row)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

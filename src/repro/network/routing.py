@@ -109,7 +109,7 @@ def build_randomized_routing_tree(
             f"(first few: {missing[:5]}); increase the radio range"
         )
 
-    parent = [-1] * n
+    choices: list[list[int]] = [[]] * n
     for vertex in range(n):
         if vertex == root:
             continue
@@ -122,10 +122,22 @@ def build_randomized_routing_tree(
             preferred = [c for c in candidates if c not in avoid]
             if preferred:
                 candidates = preferred
+        choices[vertex] = candidates
+
+    # The ETX of every weighted pick's links, looked up in one batch.
+    etx = iter(())
+    if link_stats is not None:
+        weighted = [v for v in range(n) if len(choices[v]) > 1]
+        senders = [v for v in weighted for _ in choices[v]]
+        receivers = [c for v in weighted for c in choices[v]]
+        etx = iter(link_stats.etx_many(senders, receivers).tolist())
+    parent = [-1] * n
+    for vertex in range(n):
+        if vertex == root:
+            continue
+        candidates = choices[vertex]
         if link_stats is not None and len(candidates) > 1:
-            weights = np.array(
-                [1.0 / link_stats.etx(vertex, c) for c in candidates]
-            )
+            weights = np.array([1.0 / next(etx) for _ in candidates])
             choice = rng.choice(len(candidates), p=weights / weights.sum())
             parent[vertex] = int(candidates[int(choice)])
         else:

@@ -52,6 +52,7 @@ class EnergyLedger:
         #: receive totals would masquerade as a sensor hotspot.
         self._ever_root: set[int] = {root}
         self.num_vertices = num_vertices
+        self._sensor_mask = self._mask_out_roots()
 
         self.energy = np.zeros(num_vertices)
         self.messages_sent = np.zeros(num_vertices, dtype=np.int64)
@@ -88,7 +89,7 @@ class EnergyLedger:
         self._round_energy[:] = 0.0
         idle = self._model.idle_cost_per_round
         if idle > 0.0:
-            mask = self.sensor_mask()
+            mask = self._sensor_mask
             self.energy[mask] += idle
             self._round_energy[mask] += idle
 
@@ -177,6 +178,7 @@ class EnergyLedger:
             )
         self.root = new_root
         self._ever_root.add(new_root)
+        self._sensor_mask = self._mask_out_roots()
 
     # -- metrics -------------------------------------------------------------
 
@@ -184,15 +186,18 @@ class EnergyLedger:
         """Boolean mask selecting battery-powered vertices.
 
         Excludes the current sink and every retired one (see
-        :meth:`reroot`).
+        :meth:`reroot`).  A fresh copy: callers may edit it.
         """
+        return self._sensor_mask.copy()
+
+    def _mask_out_roots(self) -> np.ndarray:
         mask = np.ones(self.num_vertices, dtype=bool)
         mask[sorted(self._ever_root)] = False
         return mask
 
     def max_sensor_energy(self) -> float:
         """Cumulative energy of the hottest battery-powered node [J]."""
-        return float(self.energy[self.sensor_mask()].max())
+        return float(self.energy[self._sensor_mask].max())
 
     def mean_round_energy(self) -> np.ndarray:
         """Per-vertex mean energy per round over the archived rounds [J]."""
@@ -207,7 +212,7 @@ class EnergyLedger:
         (Section 5.1.5): the average over rounds for the node that consumes
         the most.
         """
-        return float(self.mean_round_energy()[self.sensor_mask()].max())
+        return float(self.mean_round_energy()[self._sensor_mask].max())
 
     def steady_state_lifetime(self) -> float:
         """Rounds until the first sensor node would exhaust its battery.
@@ -230,7 +235,7 @@ class EnergyLedger:
         if not self.round_energy_history:
             return None
         cumulative = np.zeros(self.num_vertices)
-        mask = self.sensor_mask()
+        mask = self._sensor_mask
         for index, round_energy in enumerate(self.round_energy_history):
             cumulative += round_energy
             if (cumulative[mask] > self._model.initial_energy).any():

@@ -2,11 +2,10 @@
 
 from repro.sim.engine import Payload, TreeNetwork, UniformPayload
 from repro.sim.oracle import exact_quantile, quantile_rank
-from repro.sim.runner import RoundRecord, RunResult, SimulationRunner
+from repro.sim.runner import RunResult, SimulationRunner
 
 __all__ = [
     "Payload",
-    "RoundRecord",
     "RunResult",
     "SimulationRunner",
     "TreeNetwork",

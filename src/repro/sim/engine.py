@@ -60,7 +60,7 @@ Contracts, checked against the per-hop walk in ``tests/engine_reference.py``:
   float sum equals the scalar call sequence.
 * **EWMA replay.**  A static ARQ policy's channel samples are folded into
   the :class:`~repro.network.linkstats.LinkQualityEstimator` once per
-  convergecast, with the scalar recurrence and insertion order; a
+  convergecast, with the scalar recurrence; a
   per-link (adaptive) policy reads its estimator between hops, so its
   feedback stays inline.
 * **Array fold.**  Pruning and zero-dropping apply only where two or more

@@ -63,6 +63,16 @@ def rank_error(values: np.ndarray, value: int, k: int) -> int:
     return max(0, less + 1 - k, k - less - equal)
 
 
+def insertion_rank_error(values: np.ndarray, value: int, k: int) -> int:
+    """Like :func:`rank_error`, but an absent value sits at rank ``l + 1``.
+
+    So it scores 0 at ``k = l + 1``, where :func:`rank_error` scores 1.
+    The fault study and the sampling extension score answers this way.
+    """
+    less, equal, _ = rank_of_value(values, value)
+    return max(0, less + 1 - k, k - max(less + equal, less + 1))
+
+
 def is_valid_quantile(values: np.ndarray, value: int, k: int) -> bool:
     """True iff ``value`` is the k-th smallest of ``values``.
 

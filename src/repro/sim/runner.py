@@ -1,14 +1,16 @@
 """Round-driven simulation of one algorithm over one deployment.
 
-The runner owns the energy ledger, brackets every query round, feeds the
-algorithm the round's measurements and (optionally) asserts the distributed
-answer against the centralized oracle — all algorithms in this package are
-exact, so any deviation is an implementation bug and fails fast.
+The runner runs the one round loop, :class:`~repro.faults.experiment.
+FaultDriver`, on an empty fault plan, turns its round reports into a
+:class:`RunResult` and (optionally) asserts every answer against the
+centralized oracle — all algorithms in this package are exact, so any
+deviation is an implementation bug and fails fast.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -16,9 +18,7 @@ import numpy as np
 from repro.errors import ProtocolError
 from repro.network.tree import RoutingTree
 from repro.radio.energy import EnergyModel
-from repro.radio.ledger import EnergyLedger, TrafficCounters
-from repro.sim.engine import TreeNetwork
-from repro.sim.oracle import exact_quantile, quantile_rank, rank_error
+from repro.radio.ledger import TrafficCounters
 from repro.types import RoundStats
 
 if TYPE_CHECKING:  # imported lazily to avoid a core <-> sim import cycle
@@ -26,14 +26,6 @@ if TYPE_CHECKING:  # imported lazily to avoid a core <-> sim import cycle
 
 #: Maps a round index to per-vertex measurements (root entry ignored).
 ValuesProvider = Callable[[int], np.ndarray]
-
-#: Builds the network binding for one run — the seam through which fault
-#: injection (``repro.faults.FaultyTreeNetwork``) slips under any runner.
-NetworkFactory = Callable[[RoutingTree, EnergyLedger], TreeNetwork]
-
-
-#: Public alias: one entry of :attr:`RunResult.rounds`.
-RoundRecord = RoundStats
 
 
 @dataclass
@@ -89,10 +81,6 @@ class SimulationRunner:
         energy_model: radio cost parameters.
         check: assert each round's answer against the oracle (default on;
             benchmarks may disable it to measure pure protocol cost).
-        network_factory: builds the tree/ledger binding per run; inject
-            ``repro.faults.FaultyTreeNetwork`` here to run any algorithm
-            under faults (``check`` should then be off — under loss even
-            exact algorithms legitimately miss the oracle).
     """
 
     def __init__(
@@ -101,13 +89,11 @@ class SimulationRunner:
         radio_range: float,
         energy_model: EnergyModel | None = None,
         check: bool = True,
-        network_factory: NetworkFactory | None = None,
     ) -> None:
         self.tree = tree
         self.radio_range = radio_range
         self.energy_model = energy_model or EnergyModel()
         self.check = check
-        self.network_factory = network_factory or TreeNetwork
 
     def run(
         self,
@@ -116,60 +102,56 @@ class SimulationRunner:
         num_rounds: int,
     ) -> RunResult:
         """Execute ``num_rounds`` rounds (round 0 is the initialization)."""
-        if num_rounds < 1:
-            raise ProtocolError(f"num_rounds must be >= 1, got {num_rounds}")
-        ledger = EnergyLedger(
-            num_vertices=self.tree.num_vertices,
-            root=self.tree.root,
-            model=self.energy_model,
-            radio_range=self.radio_range,
+        return run_fault_free(
+            algorithm, self.tree, values_provider, num_rounds, self.check,
+            radio_range=self.radio_range, energy_model=self.energy_model,
         )
-        net = self.network_factory(self.tree, ledger)
-        k = quantile_rank(net.num_sensor_nodes, algorithm.spec.phi)
-        result = RunResult(algorithm=algorithm.name)
 
-        # Static per-run views, hoisted out of the round loop: the sensor
-        # index array and mask depend only on the tree, and rebuilding
-        # them per round costs O(n) each on large deployments.
-        sensor_idx = np.asarray(self.tree.sensor_nodes, dtype=np.intp)
-        sensor_mask = ledger.sensor_mask()
-        previous_messages = previous_values_sent = previous_exchanges = 0
-        for round_index in range(num_rounds):
-            values = np.asarray(values_provider(round_index))
-            ledger.begin_round()
-            if round_index == 0:
-                outcome = algorithm.initialize(net, values)
-            else:
-                outcome = algorithm.update(net, values)
-            round_energy = ledger.end_round()
 
-            sensor_values = values[sensor_idx]
-            truth = exact_quantile(sensor_values, k)
-            if self.check and algorithm.exact and outcome.quantile != truth:
-                raise ProtocolError(
-                    f"{algorithm.name} round {round_index}: computed "
-                    f"{outcome.quantile} but the exact quantile is {truth}"
-                )
-            total_messages = int(ledger.messages_sent.sum())
-            total_values = int(ledger.values_sent.sum())
-            result.rounds.append(
-                RoundStats(
-                    round_index=round_index,
-                    outcome=outcome,
-                    true_quantile=truth,
-                    max_sensor_energy_j=float(round_energy[sensor_mask].max()),
-                    total_energy_j=float(round_energy.sum()),
-                    messages_sent=total_messages - previous_messages,
-                    values_sent=total_values - previous_values_sent,
-                    exchanges=net.exchanges - previous_exchanges,
-                    rank_error=rank_error(sensor_values, outcome.quantile, k),
-                )
+def run_fault_free(
+    algorithm: "ContinuousQuantileAlgorithm",
+    tree: RoutingTree,
+    values_provider: ValuesProvider,
+    num_rounds: int,
+    check: bool,
+    **driver_kwargs,
+) -> RunResult:
+    """Run ``algorithm`` itself on a ``FaultDriver`` with an empty plan.
+
+    ``values_provider`` is read once per round; ``driver_kwargs`` go to the
+    driver.  With ``check``, an exact algorithm's answer that misses the
+    oracle raises :class:`~repro.errors.ProtocolError` in its round.
+    """
+    from repro.faults.experiment import FaultDriver
+    from repro.faults.plan import FaultPlan
+
+    if num_rounds < 1:
+        raise ProtocolError(f"num_rounds must be >= 1, got {num_rounds}")
+    driver = FaultDriver(
+        lambda spec: algorithm,
+        algorithm.spec,
+        tree,
+        SimpleNamespace(values=values_provider),
+        FaultPlan(),
+        repair=False,
+        **driver_kwargs,
+    )
+    rounds = []
+    for round_index in range(num_rounds):
+        stats = driver.step(round_index).stats
+        if check and algorithm.exact and stats.outcome.quantile != stats.true_quantile:
+            raise ProtocolError(
+                f"{algorithm.name} round {round_index}: computed "
+                f"{stats.outcome.quantile} but the exact quantile is "
+                f"{stats.true_quantile}"
             )
-            previous_messages, previous_values_sent = total_messages, total_values
-            previous_exchanges = net.exchanges
-
-        result.max_mean_round_energy_j = ledger.max_mean_round_energy()
-        result.lifetime_rounds = ledger.steady_state_lifetime()
-        result.totals = ledger.totals()
-        result.phase_bits = dict(net.phase_bits)
-        return result
+        rounds.append(stats)
+    ledger = driver.ledger
+    return RunResult(
+        algorithm=algorithm.name,
+        rounds=rounds,
+        max_mean_round_energy_j=ledger.max_mean_round_energy(),
+        lifetime_rounds=ledger.steady_state_lifetime(),
+        totals=ledger.totals(),
+        phase_bits=dict(driver.net.phase_bits),
+    )

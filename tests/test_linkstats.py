@@ -61,6 +61,17 @@ class TestEwma:
         assert est.link_observed(2, 1)
         assert est.num_links == 1
 
+    def test_numpy_ids_key_the_same_link(self):
+        est = LinkQualityEstimator()
+        est.observe(np.int64(3), np.int64(7), delivered=False)
+        est.observe(3, 7, delivered=False)
+        assert est.num_links == 1
+        assert est.loss(np.int64(3), 7) == est.loss(3, 7) > est.prior_loss
+        assert list(est._loss) == [(3, 7)]
+        # An id too narrow for the key fails loudly instead of wrapping.
+        with pytest.raises(OverflowError):
+            est.observe(np.int32(3), 7, delivered=True)
+
     def test_converges_to_bernoulli_rate(self):
         rng = np.random.default_rng(13)
         est = LinkQualityEstimator(smoothing=0.05)
@@ -71,56 +82,67 @@ class TestEwma:
 
 
 class TestObserveBatch:
-    """Batched feedback must be a literal ordered replay of ``observe``.
+    """``observe_hops`` folds a batch of samples like the scalar recurrence.
 
-    These pinned regression values guarantee the batch path never drifts
-    from the scalar EWMA recurrence (order, insertion order, counters
-    included).
+    Pinned values, input forms and the mix of scalar and batched updates
+    on one table (``TestObserveHops`` fuzzes whole convergecasts).
     """
 
     def test_pinned_regression_values(self):
         est = LinkQualityEstimator(smoothing=0.5, prior_loss=0.1)
-        est.observe_batch([1, 1, 2], [2, 2, 1], [False, True, False])
+        # Hop 1 -> 2 takes two attempts (lost, delivered); hop 2 -> 1 one.
+        est.observe_hops(
+            np.array([1, 2]),
+            np.array([2, 1]),
+            attempts=np.array([2, 1]),
+            frame_ok=np.array([False, True, False]),
+        )
         # link (1,2): 0.1 -> 0.55 -> 0.275; link (2,1): 0.1 -> 0.55.
         assert est.loss(1, 2) == 0.275
         assert est.loss(2, 1) == 0.55
         assert est.observations == 3
+        assert est.num_links == 2
 
     def test_matches_scalar_replay_bit_for_bit(self):
+        """Scalar and batched updates interleave on one table.
+
+        Scalar inserts land between rows a batch has indexed, so the batch
+        lookups must see every insert; the table must equal a purely
+        scalar replay, value for value.
+        """
         rng = np.random.default_rng(77)
-        senders = rng.integers(0, 6, size=200).tolist()
-        receivers = rng.integers(6, 12, size=200).tolist()
-        outcomes = (rng.random(200) < 0.6).tolist()
-
         scalar = LinkQualityEstimator(smoothing=0.3, prior_loss=0.08)
-        for s, r, ok in zip(senders, receivers, outcomes):
-            scalar.observe(s, r, ok)
-        batched = LinkQualityEstimator(smoothing=0.3, prior_loss=0.08)
-        batched.observe_batch(senders, receivers, outcomes)
-
-        # Values, insertion order and the sample counter all identical —
-        # `==` on floats, no approx: the recurrence must be the same code
-        # path arithmetic, not merely close.
-        assert list(scalar._loss.items()) == list(batched._loss.items())
-        assert scalar.observations == batched.observations
+        mixed = LinkQualityEstimator(smoothing=0.3, prior_loss=0.08)
+        for _ in range(20):
+            senders = rng.permutation(40)[:12]
+            receivers = rng.integers(40, 48, size=12)
+            for child, parent in zip(senders.tolist(), receivers.tolist()):
+                scalar.observe(child, parent, True)
+            mixed.observe_hops(senders, receivers)
+            a, b = (int(v) for v in rng.integers(0, 48, size=2))
+            ok = bool(rng.random() < 0.5)
+            scalar.observe(a, b, ok)
+            mixed.observe(a, b, ok)
+        assert list(scalar._loss.items()) == list(mixed._loss.items())
+        assert scalar.observations == mixed.observations
 
     def test_accepts_numpy_arrays(self):
-        est = LinkQualityEstimator(smoothing=0.5, prior_loss=0.1)
-        est.observe_batch(
-            np.array([4, 4]), np.array([0, 0]), np.array([False, False])
-        )
-        # 0.1 -> 0.55 -> 0.775
-        assert est.loss(4, 0) == 0.775
-        assert est.observations == 2
+        lists = LinkQualityEstimator(smoothing=0.5, prior_loss=0.1)
+        arrays = LinkQualityEstimator(smoothing=0.5, prior_loss=0.1)
+        lists.observe_hops([4, 5], [0, 0])
+        arrays.observe_hops(np.array([4, 5]), np.array([0, 0]))
+        # 0.1 -> 0.05 on both links, whatever the input form.
+        assert lists._loss == arrays._loss == {(4, 0): 0.05, (5, 0): 0.05}
+        assert lists.observations == arrays.observations == 2
 
     def test_empty_batch_is_a_no_op(self):
         est = LinkQualityEstimator()
-        est.observe_batch([], [], [])
+        est.observe_hops(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
         assert est.observations == 0
         assert est.num_links == 0
 
     def test_adaptive_arq_budgets_from_batched_feedback(self):
-        """Pinned budgets: batched outcomes drive the same retry counts."""
+        """Pinned budgets: the policy reads batched feedback like scalar."""
         from repro.faults import AdaptiveArqPolicy
 
         scalar_policy = AdaptiveArqPolicy(
@@ -132,22 +154,30 @@ class TestObserveBatch:
         outcomes = [False, False, True, False, False, False]
         for ok in outcomes:
             scalar_policy.observe(3, 0, ok)
-        batched_policy.observe_batch([3] * 6, [0] * 6, outcomes)
-
-        assert scalar_policy.estimator.loss(3, 0) == batched_policy.estimator.loss(
-            3, 0
+        batched_policy.estimator.observe_hops(
+            np.array([3]),
+            np.array([0]),
+            attempts=np.array([6]),
+            frame_ok=np.array(outcomes),
         )
         # Loss after the burst: 0.05 -> .525 -> .7625 -> .38125 -> .690625
         # -> .8453125 -> .92265625; ceil(log(.01)/log(p)) = 57, clamped to
         # the max_retries+1 = 6 attempt budget.
         assert batched_policy.estimator.loss(3, 0) == 0.92265625
-        assert scalar_policy.attempts_for(3, 0) == 6
+        assert scalar_policy.estimator.loss(3, 0) == 0.92265625
         assert batched_policy.attempts_for(3, 0) == 6
-        # A quiet link decays back to a single attempt under both paths.
-        batched_policy.observe_batch([3] * 8, [0] * 8, [True] * 8)
+        # A quiet link decays back to a single attempt, halving per sample.
+        budgets = []
         for _ in range(8):
             scalar_policy.observe(3, 0, True)
-        assert scalar_policy.attempts_for(3, 0) == batched_policy.attempts_for(3, 0)
+            budgets.append(scalar_policy.attempts_for(3, 0))
+        batched_policy.estimator.observe_hops(
+            np.array([3]), np.array([0]), attempts=np.array([8]),
+            frame_ok=np.ones(8, dtype=bool),
+        )
+        assert budgets == [6, 4, 3, 2, 2, 2, 1, 1]
+        assert batched_policy.estimator.loss(3, 0) == 0.92265625 / 2**8
+        assert batched_policy.attempts_for(3, 0) == 1
 
 
 class TestEtx:

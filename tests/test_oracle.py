@@ -8,8 +8,10 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.sim.oracle import (
     exact_quantile,
+    insertion_rank_error,
     is_valid_quantile,
     quantile_rank,
+    rank_error,
     rank_of_value,
 )
 
@@ -92,3 +94,28 @@ class TestIsValidQuantile:
             truth = exact_quantile(values, k)
             for probe in range(0, 31):
                 assert is_valid_quantile(values, probe, k) == (probe == truth)
+
+
+class TestRankErrorMetrics:
+    def test_absent_value_at_insertion_rank(self):
+        """The one place the two metrics part: an absent value at k = l + 1.
+
+        ``rank_error`` places an absent value between ranks ``l`` and
+        ``l + 1`` and charges it one rank; ``insertion_rank_error`` scores
+        it at the rank it would take if inserted, ``l + 1``, and charges
+        nothing.  The fault study relies on the latter, the runners on the
+        former, so neither may be folded into the other.
+        """
+        values = np.array([10, 20, 30, 40])
+        less, equal, _ = rank_of_value(values, 25)
+        assert (less, equal) == (2, 0)
+        assert insertion_rank_error(values, 25, k=less + 1) == 0
+        assert rank_error(values, 25, k=less + 1) == 1
+
+    def test_metrics_agree_on_present_values(self, rng):
+        values = rng.integers(0, 50, size=200)
+        for value in np.unique(values)[:20].tolist():
+            for k in (1, 50, 100, 200):
+                assert insertion_rank_error(values, value, k) == rank_error(
+                    values, value, k
+                )
